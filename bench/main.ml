@@ -1795,10 +1795,11 @@ let run_latency () =
 
    bench/main.exe regress BASELINE.json NEW.json [--threshold FACTOR]
 
-   Every numeric leaf the two documents share is compared by its dotted
-   path (array indices become path components).  A leaf whose values
-   differ by more than FACTOR in either direction (default 2.0), changes
-   sign, or exists in the baseline but not in the new snapshot is a
+   Every numeric and boolean leaf the two documents share is compared by
+   its dotted path (array indices become path components).  A numeric
+   leaf whose values differ by more than FACTOR in either direction
+   (default 2.0) or change sign, a boolean leaf whose value changes, and
+   any leaf that exists in the baseline but not in the new snapshot is a
    regression; any regression exits 1 so CI can gate fresh bench output
    against the committed BENCH_*.json baselines.  Leaves only present in
    the new snapshot are reported but allowed — new metrics are not
@@ -1841,15 +1842,22 @@ let run_regress argv =
   let base_path, new_path =
     match files with [ b; n ] -> (b, n) | _ -> usage ()
   in
-  let leaves path =
-    List.map
-      (fun (p, x) -> (String.concat "." p, x))
-      (Wafl_util.Json.number_leaves (regress_load path))
-  in
-  let base = leaves base_path and fresh = leaves new_path in
+  let dotted leaves = List.map (fun (p, x) -> (String.concat "." p, x)) leaves in
+  let base_doc = regress_load base_path and fresh_doc = regress_load new_path in
+  let base = dotted (Wafl_util.Json.number_leaves base_doc)
+  and fresh = dotted (Wafl_util.Json.number_leaves fresh_doc) in
   let regressions = ref 0 in
   let compared = ref 0 in
   let flag fmt = incr regressions; Printf.printf fmt in
+  let fresh_bools = dotted (Wafl_util.Json.bool_leaves fresh_doc) in
+  List.iter
+    (fun (path, a) ->
+      match List.assoc_opt path fresh_bools with
+      | None -> flag "  MISSING   %-52s (baseline %b)\n" path a
+      | Some b ->
+        incr compared;
+        if a <> b then flag "  FLIPPED   %-52s %b -> %b\n" path a b)
+    (dotted (Wafl_util.Json.bool_leaves base_doc));
   List.iter
     (fun (path, a) ->
       match List.assoc_opt path fresh with

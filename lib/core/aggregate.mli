@@ -136,23 +136,6 @@ val harvest_free_of_aa : t -> range -> int -> dst:int array -> words:int ref -> 
     [free_vbns_of_aa] is gone; this caller-array form is the only
     harvest API.) *)
 
-val harvest_free_of_aa_sharded :
-  Wafl_par.Par.t ->
-  t ->
-  range ->
-  int ->
-  shards:int array array ->
-  dst:int array ->
-  words:int ref ->
-  int
-(** Pool-driven {!harvest_free_of_aa}: the AA's span is split into one
-    32-aligned chunk per shard, each pool domain harvests its chunk into
-    its own scratch ring, and the shards are concatenated into [dst] in
-    chunk order — emission order, count and words-read accounting are
-    identical to the serial harvest at any domain count.  Each shard
-    must hold the AA's full capacity.  Falls back to the serial harvest
-    when the span is too small to split. *)
-
 val aa_score_now : t -> range -> int -> int
 (** Recompute an AA's score from the bitmap (bypasses the cached array). *)
 

@@ -63,10 +63,21 @@ let group_by_vol staged =
     staged;
   List.rev_map (fun (v, items) -> (v, List.rev !items)) !vols
 
-(* Per-device write streams for an SMR range: sorted DBNs per data device,
-   concatenated device by device.  A data DBN lands at its AZCS device
-   position (checksum blocks interleaved), offset into the device's span so
-   zone arithmetic stays per-device. *)
+(* Stable counting split into [buckets] arrays: [iter emit] must call
+   [emit bucket value] for each item, in order, the same way both times it
+   runs; every bucket keeps that order.  CP writes are in allocation
+   order, and fault draws, SMR zones and FTL streams all consume blocks in
+   that order. *)
+let split ~buckets iter =
+  let counts = Array.make buckets 0 in
+  iter (fun b _ -> counts.(b) <- counts.(b) + 1);
+  let out = Array.map (fun c -> Array.make c 0) counts in
+  Array.fill counts 0 buckets 0;
+  iter (fun b v ->
+      out.(b).(counts.(b)) <- v;
+      counts.(b) <- counts.(b) + 1);
+  out
+
 (* Rounded to whole AZCS regions so device boundaries never split a region
    (the tracker's region math is global). *)
 let smr_device_span geometry =
@@ -74,27 +85,23 @@ let smr_device_span geometry =
     (Azcs.device_span_of_data (Geometry.device_blocks geometry))
     Azcs.region_blocks
 
+(* Per-device write streams for an SMR range, indexed by data device: each
+   device's DBNs in allocation order (the allocator finishes one AA before
+   starting the next, and sorting would interleave them).  A data DBN lands
+   at its AZCS device position (checksum blocks interleaved), offset into
+   the device's span so zone arithmetic stays per-device. *)
 let smr_streams geometry locals =
-  (* preserve allocation order per device: the allocator finishes one AA
-     before starting the next, and sorting would interleave them *)
-  let by_device = Hashtbl.create 8 in
-  List.iter
-    (fun local ->
-      let loc = Geometry.location_of_vbn geometry local in
-      let existing = try Hashtbl.find by_device loc.Geometry.device with Not_found -> [] in
-      Hashtbl.replace by_device loc.Geometry.device (loc.Geometry.dbn :: existing))
-    locals;
+  let device_blocks = Geometry.device_blocks geometry in
   let span = smr_device_span geometry in
-  let devices = List.sort Int.compare (Hashtbl.fold (fun d _ acc -> d :: acc) by_device []) in
-  List.map
-    (fun device ->
-      let dbns = List.rev (Hashtbl.find by_device device) in
-      (device, List.map (fun dbn -> (device * span) + Azcs.device_position_of_data dbn) dbns))
-    devices
+  split ~buckets:(Geometry.data_devices geometry) (fun emit ->
+      Array.iter
+        (fun local ->
+          let device = local / device_blocks in
+          emit device
+            ((device * span) + Azcs.device_position_of_data (local mod device_blocks)))
+        locals)
 
-let flush_range_body walloc (range : Aggregate.range) ~cls_locals locals freed_locals =
-  let aggregate = Write_alloc.aggregate walloc in
-  ignore aggregate;
+let flush_range_body (range : Aggregate.range) ~cls locals freed_locals =
   let flush =
     match range.Aggregate.group with
     | Some group ->
@@ -113,7 +120,7 @@ let flush_range_body walloc (range : Aggregate.range) ~cls_locals locals freed_l
     {
       range_index = range.Aggregate.index;
       media;
-      blocks_written = List.length locals;
+      blocks_written = Array.length locals;
       chains = 0;
       full_stripes = 0;
       partial_stripes = 0;
@@ -134,11 +141,11 @@ let flush_range_body walloc (range : Aggregate.range) ~cls_locals locals freed_l
       {
         base_report with
         chains = f.Group.chains;
-        full_stripes = f.Group.classification.Stripe.full_stripes;
-        partial_stripes = f.Group.classification.Stripe.partial_stripes;
-        tetrises = f.Group.tetris.Tetris.tetrises;
-        parity_writes = f.Group.classification.Stripe.parity_writes;
-        parity_reads = f.Group.classification.Stripe.extra_reads;
+        full_stripes = f.Group.full_stripes;
+        partial_stripes = f.Group.partial_stripes;
+        tetrises = f.Group.tetrises;
+        parity_writes = f.Group.parity_writes;
+        parity_reads = f.Group.extra_reads;
       }
   in
   if with_raid.blocks_written > 0 && flush <> None then
@@ -166,22 +173,17 @@ let flush_range_body walloc (range : Aggregate.range) ~cls_locals locals freed_l
       let before = Ftl.stats ftl in
       let ns = Ftl.streams ftl in
       let sbefore = Array.init ns (Ftl.stream_stats ftl) in
-      (match cls_locals with
-      | Some cls_list ->
+      (match cls with
+      | Some cls ->
         (* Temperature routing: each class's batch goes to its own FTL
            write stream (classes beyond the drive's stream count share
            the last one), so segregated AAs also stop sharing open erase
            blocks inside the device. *)
-        let by_stream = Array.make ns [] in
-        List.iter2
-          (fun p c ->
-            let s = if c < ns then c else ns - 1 in
-            by_stream.(s) <- p :: by_stream.(s))
-          locals cls_list;
         Array.iteri
           (fun s batch ->
-            if batch <> [] then Ftl.write_batch ~stream:s ftl (List.rev batch))
-          by_stream
+            if Array.length batch > 0 then Ftl.write_batch ~stream:s ftl batch)
+          (split ~buckets:ns (fun emit ->
+               Array.iteri (fun i local -> emit (min cls.(i) (ns - 1)) local) locals))
       | None -> Ftl.write_batch ftl locals);
       Ftl.trim_batch ftl freed_locals;
       let delta = Ftl.diff_stats ~after:(Ftl.stats ftl) ~before in
@@ -201,10 +203,10 @@ let flush_range_body walloc (range : Aggregate.range) ~cls_locals locals freed_l
       | Some geometry ->
         let before = Smr.stats smr in
         let random_cs = ref 0 in
-        List.iter
-          (fun (device, stream) ->
+        Array.iteri
+          (fun device stream ->
             let tracker = trackers.(device) in
-            List.iter
+            Array.iter
               (fun dev_pos ->
                 (* stream positions are device positions: checksum blocks are
                    already interleaved by smr_streams' mapping.  Region closes
@@ -252,14 +254,12 @@ let flush_range_body walloc (range : Aggregate.range) ~cls_locals locals freed_l
       fault = Some fs;
     }
 
-(* [Device_flush] spans may run concurrently on pool domains; each domain
-   stamps its own start slot, so the enter/exit pair is race-free.  The
-   [Fun.protect] closure is per-range-per-CP — off the hot path. *)
-let flush_range walloc range ~cls_locals locals freed_locals =
+(* The [Fun.protect] closure is per-range-per-CP — off the hot path. *)
+let flush_range range ~cls locals freed_locals =
   Telemetry.span_enter Span.Device_flush;
   Fun.protect
     ~finally:(fun () -> Telemetry.span_exit Span.Device_flush)
-    (fun () -> flush_range_body walloc range ~cls_locals locals freed_locals)
+    (fun () -> flush_range_body range ~cls locals freed_locals)
 
 (* Aggregate cache stats over the physical ranges and this CP's active
    volumes: (picks, replenishes, work, worst HBPS score error). *)
@@ -323,15 +323,16 @@ let run ?pool ?temp walloc staged =
      placement counts, gathered only when a latency recorder is live. *)
   let lat_on = Telemetry.lat_active () in
   let lat_groups = ref [] in
-  let allocated_pvbns = ref [] in
-  let allocated_cls = ref [] in
   (* Temperature routing is active when an inference handle with more than
-     one class is given; [allocated_cls] then parallels [allocated_pvbns]. *)
+     one class is given. *)
   let routing =
     match temp with
     | Some tm when Temperature.classes tm > 1 -> Some tm
     | _ -> None
   in
+  (* This CP's physical allocations, newest batch first: (temperature
+     class, PVBNs, how many of them were placed). *)
+  let batches = ref [] in
   List.iter
     (fun (vol, writes) ->
       Wafl_fault.Crash.point "cp.place_vol";
@@ -340,7 +341,7 @@ let run ?pool ?temp walloc staged =
       let got_v = Write_alloc.allocate_vvbns_into walloc vol ~dst:vvbns n in
       let lat_fresh = ref 0 and lat_over = ref 0 in
       (* Place one write at its allocated vvbn/pvbn pair. *)
-      let place_one w vv pv cls =
+      let place_one w vv pv =
         (match Flexvol.write_file vol ~file:w.file ~offset:w.offset ~vvbn:vv with
         | Some old_vvbn ->
           incr lat_over;
@@ -363,8 +364,6 @@ let run ?pool ?temp walloc staged =
           Temperature.note_birth tm ~uid:(Flexvol.uid vol)
             ~blocks:(Flexvol.blocks vol) ~vvbn:vv
         | None -> ());
-        allocated_pvbns := pv :: !allocated_pvbns;
-        if routing <> None then allocated_cls := cls :: !allocated_cls;
         incr placed
       in
       (match routing with
@@ -397,10 +396,11 @@ let run ?pool ?temp walloc staged =
               let bn = List.length batch in
               let pvbns = Array.make bn 0 in
               let got_p = Write_alloc.allocate_pvbns_into ~cls:c walloc ~dst:pvbns bn in
+              batches := (c, pvbns, got_p) :: !batches;
               let rec place_batch batch k =
                 match batch with
                 | (w, vv) :: rest when k < got_p ->
-                  place_one w vv pvbns.(k) c;
+                  place_one w vv pvbns.(k);
                   place_batch rest (k + 1)
                 | rest ->
                   (* reserved virtual blocks with no physical home
@@ -415,11 +415,12 @@ let run ?pool ?temp walloc staged =
       | None ->
         let pvbns = Array.make (max 1 got_v) 0 in
         let got_p = Write_alloc.allocate_pvbns_into walloc ~dst:pvbns got_v in
+        batches := (0, pvbns, got_p) :: !batches;
         (* pair as many writes as we could place both numbers for *)
         let rec place writes k =
           match writes with
           | w :: ws when k < got_p ->
-            place_one w vvbns.(k) pvbns.(k) 0;
+            place_one w vvbns.(k) pvbns.(k);
             place ws (k + 1)
           | _ ->
             (* reserved virtual blocks with no physical home (aggregate out
@@ -445,82 +446,43 @@ let run ?pool ?temp walloc staged =
   Wafl_fault.Crash.point "cp.agg_free_commit";
   let agg_pages, freed_pvbns = Aggregate.commit_frees ?pool aggregate in
   let vol_pages =
-    match pool with
-    | Some p when Par.jobs p > 1 && List.length by_vol > 1 ->
-      (* Fire the per-volume crash points first, serially — same count and
-         sequence position as the serial fold — then commit the volumes in
-         parallel: each volume's activemap, metafile and score delta are
-         private to it, and the page counts are summed in volume order.
-         (A nested Activemap.commit sees this pool busy and runs inline.) *)
-      List.iter (fun _ -> Wafl_fault.Crash.point "cp.vol_free_commit") by_vol;
-      let vols = Array.of_list (List.map fst by_vol) in
-      let pages =
-        Par.map p ~chunks:(Array.length vols) ~f:(fun i -> Flexvol.commit_frees vols.(i))
-      in
-      Array.fold_left ( + ) 0 pages
-    | _ ->
-      List.fold_left
-        (fun acc (vol, _) ->
-          Wafl_fault.Crash.point "cp.vol_free_commit";
-          acc + Flexvol.commit_frees ?pool vol)
-        0 by_vol
+    List.fold_left
+      (fun acc (vol, _) ->
+        Wafl_fault.Crash.point "cp.vol_free_commit";
+        acc + Flexvol.commit_frees ?pool vol)
+      0 by_vol
   in
   Telemetry.span_exit Span.Activemap_commit;
-  (* 3. Device I/O per range: this CP's allocations (and trims) grouped by
-        range, in range-local coordinates. *)
-  let locals_by_range = Array.make (Array.length ranges) [] in
-  List.iter
-    (fun pvbn ->
-      let r = Aggregate.range_of_pvbn aggregate pvbn in
-      locals_by_range.(r.Aggregate.index) <-
-        Aggregate.to_local r pvbn :: locals_by_range.(r.Aggregate.index))
-    (List.rev !allocated_pvbns);
-  (* With routing on, a class list parallel to each range's locals. *)
-  let cls_by_range =
+  (* 3. Device I/O per range: this CP's allocations (and trims) split by
+        range, in range-local coordinates and allocation order. *)
+  let batches = List.rev !batches in
+  let iter_allocated f =
+    List.iter (fun (c, pvbns, n) -> for k = 0 to n - 1 do f c pvbns.(k) done) batches
+  in
+  let range_of = Aggregate.range_of_pvbn aggregate in
+  let by_range iter =
+    split ~buckets:(Array.length ranges) (fun emit ->
+        iter (fun pvbn ->
+            let r = range_of pvbn in
+            emit r.Aggregate.index (Aggregate.to_local r pvbn)))
+  in
+  let locals = by_range (fun f -> iter_allocated (fun _ pvbn -> f pvbn)) in
+  let cls =
     match routing with
     | None -> None
     | Some _ ->
-      let arr = Array.make (Array.length ranges) [] in
-      List.iter2
-        (fun pvbn cls ->
-          let r = Aggregate.range_of_pvbn aggregate pvbn in
-          arr.(r.Aggregate.index) <- cls :: arr.(r.Aggregate.index))
-        (List.rev !allocated_pvbns) (List.rev !allocated_cls);
-      Some arr
+      Some
+        (split ~buckets:(Array.length ranges) (fun emit ->
+             iter_allocated (fun c pvbn -> emit (range_of pvbn).Aggregate.index c)))
   in
-  let cls_locals_of i =
-    match cls_by_range with None -> None | Some arr -> Some (List.rev arr.(i))
-  in
-  let freed_by_range = Array.make (Array.length ranges) [] in
-  List.iter
-    (fun pvbn ->
-      let r = Aggregate.range_of_pvbn aggregate pvbn in
-      freed_by_range.(r.Aggregate.index) <-
-        Aggregate.to_local r pvbn :: freed_by_range.(r.Aggregate.index))
-    freed_pvbns;
+  let freed_locals = by_range (fun f -> List.iter f freed_pvbns) in
   let devices =
-    match pool with
-    | Some p when Par.jobs p > 1 && Array.length ranges > 1 ->
-      (* Hoist the per-range crash points out of the parallel section —
-         same count and sequence position as the serial mapi — then flush
-         every range on its own domain: a range's RAID group, device
-         simulator and fault handle are private to it, trace emission is
-         mutex-guarded, and the reports land in range order. *)
-      Array.iter (fun _ -> Wafl_fault.Crash.point "cp.device_flush") ranges;
-      Array.to_list
-        (Par.map p ~chunks:(Array.length ranges) ~f:(fun i ->
-             flush_range walloc ranges.(i) ~cls_locals:(cls_locals_of i)
-               (List.rev locals_by_range.(i))
-               (List.rev freed_by_range.(i))))
-    | _ ->
-      Array.to_list
-        (Array.mapi
-           (fun i (r : Aggregate.range) ->
-             Wafl_fault.Crash.point "cp.device_flush";
-             flush_range walloc r ~cls_locals:(cls_locals_of i)
-               (List.rev locals_by_range.(i))
-               (List.rev freed_by_range.(i)))
-           ranges)
+    Array.to_list
+      (Array.mapi
+         (fun i r ->
+           Wafl_fault.Crash.point "cp.device_flush";
+           flush_range r ~cls:(Option.map (fun c -> c.(i)) cls) locals.(i) freed_locals.(i))
+         ranges)
   in
   (* 4. CP boundary: batched score updates, cache rebalance. *)
   Wafl_fault.Crash.point "cp.score_refile";

@@ -65,14 +65,17 @@ val timeseries_columns : string list
 val run :
   ?pool:Wafl_par.Par.t -> ?temp:Temperature.t -> Write_alloc.t -> staged list -> report
 (** Execute one CP over the staged writes.  With a pool (explicit, or
-    installed via [Wafl_par.Par.install]) the CP is sharded: the delayed-
-    free apply is chunked over page-aligned slices of the block space, the
-    per-volume commits run one volume per domain, and the per-range device
-    flushes run one range per domain.  Crash points fire serially before
-    each parallel section (same names, counts and order as a serial CP),
-    and results merge in volume/range order, so reports, telemetry
-    counters, and all bitmap/cache state are identical to a serial CP at
-    any domain count.
+    installed via [Wafl_par.Par.install]) the delayed-free apply of the
+    aggregate and each volume is chunked over page-aligned slices of the
+    block space; reports, telemetry counters, and all bitmap/cache state
+    are identical to a serial CP at any domain count.  Volumes commit and
+    ranges flush one after another, in order.
+
+    Each range's device flush receives this CP's writes to it as one
+    array of range-local VBNs in allocation order; the RAID accounting
+    ({!Wafl_raid.Group.record_flush}) sorts only its own scratch copy, so
+    fault draws, SMR zone streams and FTL write streams see blocks in the
+    order they were allocated.
 
     With [temp] (and more than one configured class) each staged write is
     classified before placement — by the lifespan of the version it

@@ -93,7 +93,7 @@ val stream_of_open : t -> eb:int -> int option
 val open_blocks_of_stream : t -> int -> int
 (** Erase blocks currently open under the given stream's budget. *)
 
-val write_batch : ?stream:int -> t -> int list -> unit
+val write_batch : ?stream:int -> t -> int array -> unit
 (** Process one flush's host writes (logical page numbers; duplicates are
     coalesced) under the given stream (default 0).  Pages become live.
     The batch is staged on a reused scratch array — sorted, deduplicated
@@ -103,7 +103,7 @@ val write_batch : ?stream:int -> t -> int list -> unit
 val trim : t -> int -> unit
 (** Host free: the page is no longer live; no-op when already dead. *)
 
-val trim_batch : t -> int list -> unit
+val trim_batch : t -> int array -> unit
 
 val stats : t -> stats
 

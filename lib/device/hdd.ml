@@ -11,9 +11,9 @@ let random_read_cost_us (p : Profile.hdd) ~ios =
 let faulty_write_cost_us fault (p : Profile.hdd) ~chains ~locals ~parity_writes =
   let written =
     match fault with
-    | None -> List.length locals
+    | None -> Array.length locals
     | Some dev ->
-      List.fold_left
+      Array.fold_left
         (fun acc b ->
           match Wafl_fault.Fault.write dev ~block:b with
           | Wafl_fault.Fault.Written | Wafl_fault.Fault.Written_torn -> acc + 1

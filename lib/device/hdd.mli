@@ -16,7 +16,7 @@ val faulty_write_cost_us :
   Wafl_fault.Fault.device option ->
   Profile.hdd ->
   chains:int ->
-  locals:int list ->
+  locals:int array ->
   parity_writes:int ->
   float
 (** {!write_cost_us} with a fault plane consulted per data block in

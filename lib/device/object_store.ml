@@ -16,17 +16,15 @@ let fault t = t.fault
 
 let objects_of_batch t vbns =
   let objs = Hashtbl.create 16 in
-  let blocks = ref 0 in
   let seen = Hashtbl.create 64 in
-  List.iter
+  Array.iter
     (fun vbn ->
       if not (Hashtbl.mem seen vbn) then begin
         Hashtbl.add seen vbn ();
-        incr blocks;
         Hashtbl.replace objs (vbn / t.profile.Profile.object_blocks) ()
       end)
     vbns;
-  (Hashtbl.length objs, !blocks)
+  (Hashtbl.length objs, Hashtbl.length seen)
 
 let put_count_for t vbns = fst (objects_of_batch t vbns)
 
@@ -37,12 +35,13 @@ let write_batch t vbns =
     match t.fault with
     | None -> vbns
     | Some dev ->
-      List.filter
-        (fun vbn ->
-          match Wafl_fault.Fault.write dev ~block:vbn with
-          | Wafl_fault.Fault.Written | Wafl_fault.Fault.Written_torn -> true
-          | Wafl_fault.Fault.Failed -> false)
-        vbns
+      Array.of_seq
+        (Seq.filter
+           (fun vbn ->
+             match Wafl_fault.Fault.write dev ~block:vbn with
+             | Wafl_fault.Fault.Written | Wafl_fault.Fault.Written_torn -> true
+             | Wafl_fault.Fault.Failed -> false)
+           (Array.to_seq vbns))
   in
   let puts, blocks = objects_of_batch t vbns in
   t.puts <- t.puts + puts;

@@ -20,11 +20,11 @@ val set_fault : t -> Wafl_fault.Fault.device option -> unit
 
 val fault : t -> Wafl_fault.Fault.device option
 
-val write_batch : t -> int list -> unit
+val write_batch : t -> int array -> unit
 (** Write a batch of VBNs; each distinct [object_blocks]-aligned range
     touched costs one PUT (duplicates coalesced). *)
 
-val put_count_for : t -> int list -> int
+val put_count_for : t -> int array -> int
 (** Objects a batch would touch, without recording it. *)
 
 val cost_us : t -> stats_delta:stats -> float

@@ -13,7 +13,7 @@ type kind =
 
 let all =
   [
-    Cp; Pick; Harvest; Tetris_write; Device_flush; Activemap_commit; Bit_clear;
+    Cp; Pick; Harvest; Device_flush; Tetris_write; Activemap_commit; Bit_clear;
     Mount_rebuild; Iron; Cleaner; Scrub;
   ]
 
@@ -47,12 +47,13 @@ let name = function
 
 let parent = function
   | Cp | Mount_rebuild | Iron | Cleaner | Scrub -> None
-  | Pick | Harvest | Tetris_write | Device_flush | Activemap_commit -> Some Cp
+  | Pick | Harvest | Device_flush | Activemap_commit -> Some Cp
+  | Tetris_write -> Some Device_flush
   | Bit_clear -> Some Activemap_commit
 
 let rec depth k = match parent k with None -> 0 | Some p -> 1 + depth p
 
-let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
+let now_ns () = Int64.to_int (Monotonic_clock.now ())
 
 (* Start stamps live in one flat int array indexed by
    (domain id mod max_domains, kind).  Each slot is written only by its own

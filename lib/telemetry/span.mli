@@ -7,8 +7,8 @@
     never allocate, never take a lock, and are safe to call from pool
     domains (each domain stamps its start time into its own slot).  The
     static {!parent} relation recreates the nesting ([Pick] and
-    [Device_flush] live under the per-CP root, [Bit_clear] under the
-    activemap commit) without runtime stacks, which is what keeps exits
+    [Device_flush] live under the per-CP root, [Tetris_write] under the
+    device flush, [Bit_clear] under the activemap commit) without runtime stacks, which is what keeps exits
     from concurrent domains well-defined.
 
     Callers normally go through {!Telemetry.span_enter} /
@@ -20,8 +20,8 @@ type kind =
   | Cp  (** one whole consistency point ([Cp.run]) *)
   | Pick  (** AA selection for a refill ([Write_alloc.pick_aa]) *)
   | Harvest  (** bitmap walk filling a harvest ring *)
-  | Tetris_write  (** RAID tetris/stripe accounting of a range flush *)
-  | Device_flush  (** one range's device simulation (may run on a pool domain) *)
+  | Tetris_write  (** RAID tetris/stripe accounting inside a range flush *)
+  | Device_flush  (** one range's device simulation *)
   | Activemap_commit  (** delayed-free commit + metafile flush *)
   | Bit_clear  (** the bit-clearing apply inside the activemap commit *)
   | Mount_rebuild  (** full-scan or TopAA mount ([Mount.mount]) *)
@@ -43,8 +43,8 @@ val depth : kind -> int
 (** Number of ancestors (0 for roots). *)
 
 val now_ns : unit -> int
-(** Wall clock in nanoseconds (monotonic enough for span arithmetic); the
-    default clock of {!create}. *)
+(** Monotonic clock in nanoseconds (CLOCK_MONOTONIC; arbitrary origin,
+    only differences are meaningful); the default clock of {!create}. *)
 
 type t
 
@@ -62,7 +62,7 @@ val count : t -> kind -> int
 
 val total_ns : t -> kind -> int
 (** Wall nanoseconds accumulated over completed spans of this kind.
-    Concurrent spans (e.g. [Device_flush] on several domains) each
+    Concurrent spans (one kind open on several domains at once) each
     contribute their full duration, so a kind's total may exceed its
     parent's. *)
 

@@ -63,9 +63,9 @@ let emitted t = t.emitted
 let length t = min t.emitted (Array.length t.ring)
 let current_cp t = t.cp
 
-(* Emitters may run inside pool domains (e.g. tetris/fault traces from a
-   parallel device flush), so slot claims are serialised.  The disabled
-   path never reaches here and stays lock- and allocation-free. *)
+(* Emitters may run inside pool domains, so slot claims are serialised.
+   The disabled path never reaches here and stays lock- and
+   allocation-free. *)
 let push t ev =
   Mutex.lock t.lock;
   t.ring.(t.next) <- ev;

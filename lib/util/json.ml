@@ -225,13 +225,15 @@ let to_string v =
 
 let member k = function Obj members -> List.assoc_opt k members | _ -> None
 
-let number_leaves root =
+let leaves pick root =
   let acc = ref [] in
   let rec go path = function
-    | Num f -> acc := (List.rev path, f) :: !acc
-    | Null | Bool _ | Str _ -> ()
     | List items -> List.iteri (fun i v -> go (string_of_int i :: path) v) items
     | Obj members -> List.iter (fun (k, v) -> go (k :: path) v) members
+    | leaf -> Option.iter (fun x -> acc := (List.rev path, x) :: !acc) (pick leaf)
   in
   go [] root;
   List.rev !acc
+
+let number_leaves = leaves (function Num f -> Some f | _ -> None)
+let bool_leaves = leaves (function Bool b -> Some b | _ -> None)

@@ -32,3 +32,6 @@ val number_leaves : t -> (string list * float) list
 (** Every numeric leaf with its path from the root, in document order —
     the flattened view the regression differ compares.  List elements
     contribute their index as a path component. *)
+
+val bool_leaves : t -> (string list * bool) list
+(** Every boolean leaf with its path, like {!number_leaves}. *)

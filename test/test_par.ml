@@ -1,7 +1,7 @@
 (* Tests for the domain-parallel scan engine: pool semantics and
    chunking, domain-safe telemetry, and — the load-bearing property —
    that every pool-driven scan (mount rebuild, cache rebuild, Iron,
-   activemap commit, sharded harvest, whole CPs) produces state
+   activemap commit, whole CPs) produces state
    bit-identical to its serial counterpart at any domain count. *)
 
 open Wafl_bitmap
@@ -284,36 +284,6 @@ let test_activemap_parallel_commit () =
            (Metafile.snapshot (Activemap.metafile serial_am)));
       check_int "pending drained" 0 (Activemap.pending_free_count par_am))
 
-let test_sharded_harvest_identical () =
-  let agg = Aggregate.create aged_config in
-  (* scatter allocations so the free pattern is nonuniform *)
-  for pvbn = 0 to Aggregate.total_blocks agg - 1 do
-    if pvbn mod 3 = 0 || pvbn mod 7 = 0 then Aggregate.allocate agg ~pvbn
-  done;
-  let range = (Aggregate.ranges agg).(0) in
-  let capacity = Wafl_aa.Topology.full_aa_capacity range.Aggregate.topology in
-  Par.with_pool ~jobs:4 (fun p ->
-      List.iter
-        (fun aa ->
-          let dst_serial = Array.make capacity 0 in
-          let words_serial = ref 0 in
-          let n_serial =
-            Aggregate.harvest_free_of_aa agg range aa ~dst:dst_serial ~words:words_serial
-          in
-          let dst_par = Array.make capacity 0 in
-          let words_par = ref 0 in
-          let shards = Array.init (Par.jobs p) (fun _ -> Array.make capacity 0) in
-          let n_par =
-            Aggregate.harvest_free_of_aa_sharded p agg range aa ~shards ~dst:dst_par
-              ~words:words_par
-          in
-          let label = Printf.sprintf "aa %d" aa in
-          check_int (label ^ ": same count") n_serial n_par;
-          check_int (label ^ ": same words read") !words_serial !words_par;
-          check_bool (label ^ ": same VBNs in same order") true
-            (Array.sub dst_serial 0 n_serial = Array.sub dst_par 0 n_par))
-        [ 0; 1; 5 ])
-
 let test_parallel_cp_identical () =
   let final_cp fs pool =
     let vol = (Fs.vols fs).(0) in
@@ -407,7 +377,6 @@ let () =
           Alcotest.test_case "rebuild caches" `Quick test_rebuild_caches_determinism;
           Alcotest.test_case "iron findings" `Quick test_iron_determinism;
           Alcotest.test_case "activemap commit" `Quick test_activemap_parallel_commit;
-          Alcotest.test_case "sharded harvest" `Quick test_sharded_harvest_identical;
           Alcotest.test_case "whole CP" `Quick test_parallel_cp_identical;
           Alcotest.test_case "backends across job counts" `Quick
             test_backends_identical_across_jobs;

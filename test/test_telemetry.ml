@@ -286,6 +286,18 @@ let test_span_semantics () =
   check_int "stray exit adds no time" 0 (Span.total_ns s Span.Harvest);
   check_bool "cp is a root" true (Span.parent Span.Cp = None);
   check_bool "pick nests under cp" true (Span.parent Span.Pick = Some Span.Cp);
+  check_bool "device flush nests under cp" true (Span.parent Span.Device_flush = Some Span.Cp);
+  check_bool "tetris write nests under the device flush" true
+    (Span.parent Span.Tetris_write = Some Span.Device_flush);
+  check_int "tetris write depth" 2 (Span.depth Span.Tetris_write);
+  let index k =
+    let rec go i = function [] -> max_int | y :: ys -> if y = k then i else go (i + 1) ys in
+    go 0 Span.all
+  in
+  check_bool "parents render before children" true
+    (List.for_all
+       (fun k -> match Span.parent k with None -> true | Some p -> index p < index k)
+       Span.all);
   check_bool "bit_clear nests under the commit" true
     (Span.parent Span.Bit_clear = Some Span.Activemap_commit);
   check_int "root depth" 0 (Span.depth Span.Cp);

@@ -1,4 +1,4 @@
-(* Tests for Wafl_util: rng, bitops, stats, histo, table, series, queueing. *)
+(* Tests for Wafl_util: rng, bitops, histo, table, series, queueing. *)
 
 open Wafl_util
 
@@ -144,29 +144,6 @@ let test_crc32_detects_change () =
   let before = Checksum.crc32_all b in
   Bytes.set b 50 'r';
   check_bool "differs" true (before <> Checksum.crc32_all b)
-
-(* --- Stats --- *)
-
-let test_stats_mean () = check_float "mean" 2.5 (Stats.mean [| 1.0; 2.0; 3.0; 4.0 |])
-
-let test_stats_stddev () =
-  check_float "constant" 0.0 (Stats.stddev [| 5.0; 5.0; 5.0 |]);
-  let sd = Stats.stddev [| 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 |] in
-  Alcotest.(check (float 1e-6)) "known stddev" 2.13809 sd
-
-let test_stats_percentile () =
-  let xs = [| 1.0; 2.0; 3.0; 4.0; 5.0 |] in
-  check_float "p0" 1.0 (Stats.percentile xs 0.0);
-  check_float "p50" 3.0 (Stats.percentile xs 50.0);
-  check_float "p100" 5.0 (Stats.percentile xs 100.0);
-  check_float "p25 interp" 2.0 (Stats.percentile xs 25.0)
-
-let test_stats_summary () =
-  let s = Stats.summarize [| 3.0; 1.0; 2.0 |] in
-  check_int "count" 3 s.Stats.count;
-  check_float "min" 1.0 s.Stats.min;
-  check_float "max" 3.0 s.Stats.max;
-  check_float "p50" 2.0 s.Stats.p50
 
 (* --- Histo --- *)
 
@@ -316,6 +293,11 @@ let test_json_number_leaves () =
     [ ([ "a" ], 1.0); ([ "b"; "c" ], 2.0); ([ "d"; "0" ], 3.0); ([ "d"; "1"; "e" ], 4.0) ]
     (Json.number_leaves v)
 
+let test_json_bool_leaves () =
+  let v = Json.parse_exn {|{"a": true, "b": [1, {"ok": false}], "s": "true", "n": null}|} in
+  Alcotest.(check (list (pair (list string) bool)))
+    "flattened paths" [ ([ "a" ], true); ([ "b"; "1"; "ok" ], false) ] (Json.bool_leaves v)
+
 let () =
   let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_histo_total_conserved ] in
   Alcotest.run "wafl_util"
@@ -348,13 +330,6 @@ let () =
           Alcotest.test_case "range" `Quick test_crc32_range;
           Alcotest.test_case "detects change" `Quick test_crc32_detects_change;
         ] );
-      ( "stats",
-        [
-          Alcotest.test_case "mean" `Quick test_stats_mean;
-          Alcotest.test_case "stddev" `Quick test_stats_stddev;
-          Alcotest.test_case "percentile" `Quick test_stats_percentile;
-          Alcotest.test_case "summary" `Quick test_stats_summary;
-        ] );
       ( "histo",
         [
           Alcotest.test_case "binning" `Quick test_histo_binning;
@@ -385,5 +360,6 @@ let () =
           Alcotest.test_case "parse round-trip" `Quick test_json_parse_roundtrip;
           Alcotest.test_case "errors" `Quick test_json_errors;
           Alcotest.test_case "number leaves" `Quick test_json_number_leaves;
+          Alcotest.test_case "bool leaves" `Quick test_json_bool_leaves;
         ] );
     ]
