@@ -605,8 +605,13 @@ type par_run = {
   cp_report : Wafl_core.Cp.report;
 }
 
-(* Full-scan remount, then one overwrite-heavy CP, both timed. *)
+(* Full-scan remount, then one overwrite-heavy CP, both timed.  Every
+   series starts from a compacted heap: otherwise the major-GC work left
+   behind by the previous series (its mounts and CP) lands in this
+   series' mounts, and the jobs=1-vs-serial comparison measures that debt
+   rather than the pool. *)
 let par_run_once image scale jobs =
+  Gc.compact ();
   par_with_jobs jobs (fun () ->
       let reps = match scale with Common.Quick -> 3 | Common.Full -> 2 in
       let mount_wall_s, (fs, timing) =

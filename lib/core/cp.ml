@@ -387,7 +387,9 @@ let run ?pool ?temp walloc staged =
             classify_loop ws (k + 1)
           | _ -> ()
         in
+        Telemetry.span_enter Span.Place;
         classify_loop writes 0;
+        Telemetry.span_exit Span.Place;
         Array.iteri
           (fun c bucket ->
             match List.rev bucket with
@@ -410,7 +412,9 @@ let run ?pool ?temp walloc staged =
                       Flexvol.release_reserved vol ~vvbn:vv)
                     rest
               in
-              place_batch batch 0)
+              Telemetry.span_enter Span.Place;
+              place_batch batch 0;
+              Telemetry.span_exit Span.Place)
           buckets
       | None ->
         let pvbns = Array.make (max 1 got_v) 0 in
@@ -429,7 +433,9 @@ let run ?pool ?temp walloc staged =
               Flexvol.release_reserved vol ~vvbn:vvbns.(j)
             done
         in
-        place writes 0);
+        Telemetry.span_enter Span.Place;
+        place writes 0;
+        Telemetry.span_exit Span.Place);
       if lat_on && !lat_fresh + !lat_over > 0 then
         lat_groups :=
           ( Telemetry.lat_vol_slot ~uid:(Flexvol.uid vol)

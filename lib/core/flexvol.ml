@@ -7,6 +7,24 @@ open Wafl_aacache
    (fleet-scale volume counts must not pay a list walk per allocation). *)
 let next_uid = Atomic.make 0
 
+(* A file's block map, shaped like a WAFL buffer tree: an L1 array of
+   pointers to L0 pages of [page_slots] VVBNs each, [-1] marking a hole.
+   L0 pages are allocated on first write; L1 grows by doubling, up to the
+   highest page written, and [hole_page] fills its unallocated slots. *)
+let page_bits = 10
+let page_slots = 1 lsl page_bits
+let max_file_offset = 1 lsl 32  (* WAFL file block numbers are 32-bit *)
+let hole_page : int array = [||]
+
+type inode = {
+  mutable l1 : int array array;
+  mutable mapped : int;  (* non-hole slots, so [file_blocks] is O(1) *)
+}
+
+(* Stands for "no such file" in lookups: it has no pages, so every read
+   through it is a hole. *)
+let no_inode = { l1 = [||]; mapped = 0 }
+
 type t = {
   uid : int;
   spec : Config.vol_spec;
@@ -16,7 +34,9 @@ type t = {
   mutable cache : Cache.t option;
   delta : Score.delta;
   container : int array;  (* vvbn -> pvbn, -1 when unmapped *)
-  inodes : (int, (int, int) Hashtbl.t) Hashtbl.t;  (* file -> offset -> vvbn *)
+  inodes : (int, inode) Hashtbl.t;  (* file -> block map *)
+  mutable last_file : int;  (* one-entry memo over [inodes]: *)
+  mutable last_inode : inode;  (* [no_inode] when empty *)
   snapshots : (int, (int, unit) Hashtbl.t) Hashtbl.t;  (* id -> pinned vvbns *)
   zombies : (int, unit) Hashtbl.t;  (* vvbns kept only for snapshots *)
   mutable next_snapshot : int;
@@ -46,6 +66,8 @@ let create (spec : Config.vol_spec) =
       delta = Score.create_delta topology;
       container = Array.make spec.Config.blocks (-1);
       inodes = Hashtbl.create 16;
+      last_file = 0;
+      last_inode = no_inode;
       snapshots = Hashtbl.create 4;
       zombies = Hashtbl.create 256;
       next_snapshot = 1;
@@ -203,7 +225,8 @@ let snapshots t =
   List.sort Int.compare (Hashtbl.fold (fun id _ acc -> id :: acc) t.snapshots [])
 
 let snapshot_holds t ~vvbn =
-  Hashtbl.fold (fun _ pinned acc -> acc || Hashtbl.mem pinned vvbn) t.snapshots false
+  Hashtbl.length t.snapshots > 0
+  && Hashtbl.fold (fun _ pinned acc -> acc || Hashtbl.mem pinned vvbn) t.snapshots false
 
 let detach_vvbn t ~vvbn =
   if t.container.(vvbn) < 0 then invalid_arg "Flexvol.detach_vvbn: VVBN not mapped";
@@ -235,55 +258,118 @@ let snapshot_read t ~snapshot ~vvbn =
   | None -> None
   | Some pinned -> if Hashtbl.mem pinned vvbn then pvbn_of_vvbn t vvbn else None
 
+(* --- files --- *)
+
+(* A CP's writes arrive grouped per volume and mostly hit one file, so
+   the memo answers nearly every lookup without hashing the file id. *)
+let find_inode t file =
+  if t.last_inode != no_inode && t.last_file = file then t.last_inode
+  else
+    match Hashtbl.find_opt t.inodes file with
+    | Some ino ->
+      t.last_file <- file;
+      t.last_inode <- ino;
+      ino
+    | None -> no_inode
+
 let inode t file =
-  match Hashtbl.find_opt t.inodes file with
-  | Some map -> map
-  | None ->
-    let map = Hashtbl.create 64 in
-    Hashtbl.add t.inodes file map;
-    map
+  let ino = find_inode t file in
+  if ino != no_inode then ino
+  else begin
+    let ino = { l1 = [||]; mapped = 0 } in
+    Hashtbl.add t.inodes file ino;
+    t.last_file <- file;
+    t.last_inode <- ino;
+    ino
+  end
+
+let grow_l1 ino p =
+  let len = ref (max 1 (Array.length ino.l1)) in
+  while !len <= p do
+    len := 2 * !len
+  done;
+  let l1 = Array.make !len hole_page in
+  Array.blit ino.l1 0 l1 0 (Array.length ino.l1);
+  ino.l1 <- l1
 
 let write_file t ~file ~offset ~vvbn =
-  let map = inode t file in
-  let old = Hashtbl.find_opt map offset in
-  Hashtbl.replace map offset vvbn;
-  old
+  if offset < 0 || offset >= max_file_offset then
+    invalid_arg "Flexvol.write_file: offset outside the 32-bit file block range";
+  if vvbn < 0 then invalid_arg "Flexvol.write_file: negative VVBN";
+  let ino = inode t file in
+  let p = offset lsr page_bits in
+  if p >= Array.length ino.l1 then grow_l1 ino p;
+  let page =
+    let page = ino.l1.(p) in
+    if page != hole_page then page
+    else begin
+      let page = Array.make page_slots (-1) in
+      ino.l1.(p) <- page;
+      page
+    end
+  in
+  let s = offset land (page_slots - 1) in
+  let old = page.(s) in
+  page.(s) <- vvbn;
+  if old < 0 then begin
+    ino.mapped <- ino.mapped + 1;
+    None
+  end
+  else Some old
 
 let read_file t ~file ~offset =
-  match Hashtbl.find_opt t.inodes file with
-  | None -> None
-  | Some map -> Hashtbl.find_opt map offset
+  let l1 = (find_inode t file).l1 in
+  let p = offset lsr page_bits in
+  (* [lsr] shifts a negative offset to a huge page index: a hole like any
+     other *)
+  if p >= Array.length l1 then None
+  else
+    let page = l1.(p) in
+    if page == hole_page then None
+    else
+      let v = page.(offset land (page_slots - 1)) in
+      if v < 0 then None else Some v
 
-let file_blocks t ~file =
-  match Hashtbl.find_opt t.inodes file with None -> 0 | Some map -> Hashtbl.length map
+let file_blocks t ~file = (find_inode t file).mapped
+
+let l0_pages t ~file =
+  Array.fold_left
+    (fun n page -> if page == hole_page then n else n + 1)
+    0 (find_inode t file).l1
 
 let files t = Hashtbl.fold (fun file _ acc -> file :: acc) t.inodes []
 
 (* --- namespace persistence (crash images) ---
 
-   The container map and inode maps are the durable namespace a crash
-   image must carry: without them a remount cannot answer "which physical
-   block holds file F offset O", and Iron cannot cross-check container
-   references against the bitmaps. *)
+   The container map and the file block maps are the durable namespace a
+   crash image must carry: without them a remount cannot answer "which
+   physical block holds file F offset O", and Iron cannot cross-check
+   container references against the bitmaps.  Export and import both copy
+   every array, so an image never shares state with a live volume and can
+   be mounted any number of times. *)
+
+type namespace = {
+  ns_container : int array;
+  ns_files : (int * inode) array;
+}
+
+let copy_inode ino =
+  {
+    l1 = Array.map (fun page -> if page == hole_page then page else Array.copy page) ino.l1;
+    mapped = ino.mapped;
+  }
 
 let export_namespace t =
-  let mappings = ref [] in
-  Array.iteri
-    (fun vvbn pvbn -> if pvbn >= 0 then mappings := (vvbn, pvbn) :: !mappings)
-    t.container;
-  let files =
-    Hashtbl.fold
-      (fun file map acc ->
-        Hashtbl.fold (fun offset vvbn acc -> (file, offset, vvbn) :: acc) map acc)
-      t.inodes []
-  in
-  (List.rev !mappings, files)
+  {
+    ns_container = Array.copy t.container;
+    ns_files =
+      Array.of_list (Hashtbl.fold (fun file ino acc -> (file, copy_inode ino) :: acc) t.inodes []);
+  }
 
-let import_namespace t ~mappings ~files =
-  List.iter
-    (fun (vvbn, pvbn) ->
-      if vvbn < 0 || vvbn >= Array.length t.container then
-        invalid_arg "Flexvol.import_namespace: VVBN out of range";
-      t.container.(vvbn) <- pvbn)
-    mappings;
-  List.iter (fun (file, offset, vvbn) -> Hashtbl.replace (inode t file) offset vvbn) files
+let import_namespace t ns =
+  if Array.length ns.ns_container <> Array.length t.container then
+    invalid_arg "Flexvol.import_namespace: container size differs from the volume's";
+  Array.blit ns.ns_container 0 t.container 0 (Array.length t.container);
+  Hashtbl.reset t.inodes;
+  t.last_inode <- no_inode;
+  Array.iter (fun (file, ino) -> Hashtbl.replace t.inodes file (copy_inode ino)) ns.ns_files

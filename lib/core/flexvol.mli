@@ -126,29 +126,50 @@ val delete_snapshot : t -> int -> (int * int) list
 val snapshot_read : t -> snapshot:int -> vvbn:int -> int option
 (** Physical location of a virtual block as of the snapshot. *)
 
-(** {2 Files} *)
+(** {2 Files}
+
+    Each file's block map is a two-level array shaped like a WAFL buffer
+    tree: an L1 array of pointers to 1024-slot L0 pages of VVBNs, with
+    holes marked [-1].  A page exists once any of its offsets has been
+    written; L1 reaches up to the highest page written.  Lookups of the
+    file last used index the two arrays and hash nothing. *)
+
+val max_file_offset : int
+(** [2^32]: file block numbers are 32-bit, as in WAFL, so valid offsets
+    are [0 .. max_file_offset - 1]. *)
 
 val write_file : t -> file:int -> offset:int -> vvbn:int -> int option
 (** Point file block [offset] at [vvbn]; returns the VVBN it previously
-    pointed at (the block an overwrite frees), if any. *)
+    pointed at (the block an overwrite frees), if any.  File block numbers
+    are 32-bit, as in WAFL: raises [Invalid_argument] for an offset
+    outside [0 .. 2^32 - 1], or for a negative [vvbn]. *)
 
 val read_file : t -> file:int -> offset:int -> int option
-(** VVBN currently backing a file block. *)
+(** VVBN currently backing a file block; [None] for a hole, an unknown
+    file, or an offset outside the valid range. *)
 
 val file_blocks : t -> file:int -> int
-(** Blocks currently mapped in a file. *)
+(** Blocks currently mapped in a file.  O(1). *)
 
 val files : t -> int list
 
+val l0_pages : t -> file:int -> int
+(** L0 pages allocated for a file's block map: one per 1024-offset window
+    written at least once. *)
+
 (** {2 Namespace persistence} *)
 
-val export_namespace : t -> (int * int) list * (int * int * int) list
-(** [(container mappings as (vvbn, pvbn), inode entries as (file, offset,
-    vvbn))] — the durable namespace a crash image carries so a remounted
-    system can still translate file reads and Iron can cross-check
-    container references. *)
+type namespace
+(** A copy of the volume's container map and of every file's block map —
+    the durable namespace a crash image carries so a remounted system can
+    still translate file reads and Iron can cross-check container
+    references.  It shares no array with any volume. *)
 
-val import_namespace :
-  t -> mappings:(int * int) list -> files:(int * int * int) list -> unit
-(** Load a namespace captured by {!export_namespace} into a fresh volume.
-    Raises [Invalid_argument] if a VVBN is out of range for this volume. *)
+val export_namespace : t -> namespace
+(** Copy the volume's namespace out. *)
+
+val import_namespace : t -> namespace -> unit
+(** Replace a volume's container map and file block maps with copies of
+    [ns]'s, leaving [ns] untouched, so one image can be imported any
+    number of times.  Raises [Invalid_argument] if [ns] came from a
+    volume of a different size. *)

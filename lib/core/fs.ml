@@ -86,6 +86,10 @@ let vol_index t v =
   go 0
 
 let stage_write t ~vol ~file ~offset =
+  (* Reject here, not in the CP: by the time [Flexvol.write_file] sees the
+     offset, the CP has already allocated blocks for the whole batch. *)
+  if offset < 0 || offset >= Flexvol.max_file_offset then
+    invalid_arg "Fs.stage_write: offset outside the 32-bit file block range";
   let key = (vol_index t vol, file, offset) in
   if not (Hashtbl.mem t.staged key) then t.staged_order <- key :: t.staged_order;
   Hashtbl.replace t.staged key { Cp.vol; file; offset }

@@ -19,9 +19,9 @@ type image = {
   range_topaa : range_topaa array;        (* one entry per physical range *)
   vol_topaa : (Pagestore.t * Pagestore.t) array;  (* HBPS pages per volume *)
   nvram : (string * int * int) list;      (* logged ops since the last CP *)
-  namespace : (string * ((int * int) list * (int * int * int) list)) array;
-      (* per volume: container (vvbn, pvbn) mappings and (file, offset,
-         vvbn) inode entries — the durable namespace Iron cross-checks *)
+  namespace : (string * Flexvol.namespace) array;
+      (* per volume: container map and file block maps, copied — the
+         durable namespace Iron cross-checks *)
 }
 
 type verify_report = {
@@ -253,10 +253,7 @@ let restore ?(verify = false) ?pool image =
   Array.iter
     (fun (name, bits) -> Metafile.load (Flexvol.metafile (Fs.vol fs name)) bits)
     image.vol_bits;
-  Array.iter
-    (fun (name, (mappings, files)) ->
-      Flexvol.import_namespace (Fs.vol fs name) ~mappings ~files)
-    image.namespace;
+  Array.iter (fun (name, ns) -> Flexvol.import_namespace (Fs.vol fs name) ns) image.namespace;
   Aggregate.disable_caches aggregate;
   Array.iter (fun v -> Flexvol.set_cache v None) (Fs.vols fs);
   let vreport =

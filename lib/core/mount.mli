@@ -9,8 +9,10 @@
     while the full rebuild proceeds in the background. *)
 
 type image
-(** A crash-consistent snapshot: configuration, allocation bitmaps, and the
-    persisted TopAA blocks. *)
+(** A crash-consistent snapshot: configuration, allocation bitmaps, the
+    persisted TopAA blocks, the NVRAM log, and a copy of every volume's
+    namespace (container map and file block maps).  Mounting copies out
+    of it, so one image can be mounted any number of times. *)
 
 type verify_report = {
   pages_verified : int;  (** integrity pages checked against sidecars *)
@@ -84,10 +86,9 @@ val mount :
   image ->
   with_topaa:bool ->
   Fs.t * timing
-(** Bring the snapshot back as a fresh system (the file namespace itself is
-    not part of the image; only the space state matters for allocator
-    readiness).  [with_topaa:true] seeds caches from the persisted blocks;
-    [false] pays the full scan.
+(** Bring the snapshot back as a fresh system, file block maps included.
+    [with_topaa:true] seeds caches from the persisted blocks; [false]
+    pays the full scan.
 
     [background_rebuild] selects what happens after TopAA seeding:
     - [true] (the default): the mount additionally runs the full

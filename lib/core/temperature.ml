@@ -14,12 +14,22 @@ type t = {
   meta_file : int option;
   mutable cp : int;
   vols : (int, vol) Hashtbl.t;
+  mutable last_uid : int;  (* one-entry memo over [vols]: a CP places *)
+  mutable last_vol : vol option;  (* one volume's writes back to back *)
   classified : int array; (* per-cls decision counters, indexed by cls_index *)
 }
 
 let create ?meta_file ~classes () =
   if classes < 1 || classes > 4 then invalid_arg "Temperature.create: classes in 1..4";
-  { classes; meta_file; cp = 0; vols = Hashtbl.create 8; classified = Array.make 4 0 }
+  {
+    classes;
+    meta_file;
+    cp = 0;
+    vols = Hashtbl.create 8;
+    last_uid = 0;
+    last_vol = None;
+    classified = Array.make 4 0;
+  }
 
 let classes t = t.classes
 let cp_clock t = t.cp
@@ -31,14 +41,22 @@ let advance_cp t = t.cp <- t.cp + 1
    file sequence: inferred temperature is a reconstructible cache, not
    persisted state, and must not perturb the remount mapping. *)
 let vol_state t ~uid ~blocks =
-  match Hashtbl.find_opt t.vols uid with
-  | Some v -> v
-  | None ->
-    let words = ((2 * blocks) + 7) / 8 in
+  match t.last_vol with
+  | Some v when t.last_uid = uid -> v
+  | _ ->
     let v =
-      { store = Pagestore.create ~backend:(Pagestore.default ()) words; blocks; avg = 8.0 }
+      match Hashtbl.find_opt t.vols uid with
+      | Some v -> v
+      | None ->
+        let words = ((2 * blocks) + 7) / 8 in
+        let v =
+          { store = Pagestore.create ~backend:(Pagestore.default ()) words; blocks; avg = 8.0 }
+        in
+        Hashtbl.add t.vols uid v;
+        v
     in
-    Hashtbl.add t.vols uid v;
+    t.last_uid <- uid;
+    t.last_vol <- Some v;
     v
 
 let encode_cp cp = (cp mod 65535) + 1

@@ -2,6 +2,7 @@ type kind =
   | Cp
   | Pick
   | Harvest
+  | Place
   | Tetris_write
   | Device_flush
   | Activemap_commit
@@ -13,7 +14,7 @@ type kind =
 
 let all =
   [
-    Cp; Pick; Harvest; Device_flush; Tetris_write; Activemap_commit; Bit_clear;
+    Cp; Pick; Harvest; Place; Device_flush; Tetris_write; Activemap_commit; Bit_clear;
     Mount_rebuild; Iron; Cleaner; Scrub;
   ]
 
@@ -29,13 +30,15 @@ let index = function
   | Iron -> 8
   | Cleaner -> 9
   | Scrub -> 10
+  | Place -> 11
 
-let n_kinds = 11
+let n_kinds = 12
 
 let name = function
   | Cp -> "cp"
   | Pick -> "cp.pick"
   | Harvest -> "cp.harvest"
+  | Place -> "cp.place"
   | Tetris_write -> "cp.tetris_write"
   | Device_flush -> "cp.device_flush"
   | Activemap_commit -> "cp.activemap_commit"
@@ -47,7 +50,7 @@ let name = function
 
 let parent = function
   | Cp | Mount_rebuild | Iron | Cleaner | Scrub -> None
-  | Pick | Harvest | Device_flush | Activemap_commit -> Some Cp
+  | Pick | Harvest | Place | Device_flush | Activemap_commit -> Some Cp
   | Tetris_write -> Some Device_flush
   | Bit_clear -> Some Activemap_commit
 

@@ -6,9 +6,10 @@
     recorder is a handful of preallocated atomic arrays and [enter]/[exit]
     never allocate, never take a lock, and are safe to call from pool
     domains (each domain stamps its start time into its own slot).  The
-    static {!parent} relation recreates the nesting ([Pick] and
-    [Device_flush] live under the per-CP root, [Tetris_write] under the
-    device flush, [Bit_clear] under the activemap commit) without runtime stacks, which is what keeps exits
+    static {!parent} relation recreates the nesting ([Pick], [Harvest],
+    [Place], [Device_flush] and [Activemap_commit] live under the per-CP
+    root, [Tetris_write] under the device flush, [Bit_clear] under the
+    activemap commit) without runtime stacks, which is what keeps exits
     from concurrent domains well-defined.
 
     Callers normally go through {!Telemetry.span_enter} /
@@ -20,6 +21,9 @@ type kind =
   | Cp  (** one whole consistency point ([Cp.run]) *)
   | Pick  (** AA selection for a refill ([Write_alloc.pick_aa]) *)
   | Harvest  (** bitmap walk filling a harvest ring *)
+  | Place
+      (** file-map update, COW free queueing and temperature
+          classification for one volume's batch of writes ([Cp.run]) *)
   | Tetris_write  (** RAID tetris/stripe accounting inside a range flush *)
   | Device_flush  (** one range's device simulation *)
   | Activemap_commit  (** delayed-free commit + metafile flush *)

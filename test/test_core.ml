@@ -111,6 +111,97 @@ let test_flexvol_files () =
   Alcotest.(check (option int)) "read" (Some 20) (Flexvol.read_file vol ~file:1 ~offset:0);
   check_int "blocks in file" 1 (Flexvol.file_blocks vol ~file:1)
 
+(* Block maps against a plain Hashtbl oracle: random writes and reads
+   over 16 files, offsets mixing a dense window with sparse ones up to
+   2^22 (so pages, holes and L1 growth all occur), then an export ->
+   import round trip into a fresh volume. *)
+let block_map_spec = { Config.name = "v"; blocks = 1000; aa_blocks = None; policy = Config.Best_aa }
+
+let prop_block_map_matches_oracle =
+  let offset = QCheck.Gen.(oneof [ int_bound 4095; int_bound (1 lsl 22) ]) in
+  (* [Some vvbn] writes, [None] reads *)
+  let op = QCheck.Gen.(triple (int_bound 15) offset (opt (int_bound 999))) in
+  let print (file, offset, w) =
+    match w with
+    | Some v -> Printf.sprintf "write f%d @%d := %d" file offset v
+    | None -> Printf.sprintf "read f%d @%d" file offset
+  in
+  QCheck.Test.make ~name:"block map matches a Hashtbl oracle" ~count:200
+    (QCheck.make ~print:QCheck.Print.(list print) ~shrink:QCheck.Shrink.list
+       QCheck.Gen.(list_size (int_bound 400) op))
+    (fun ops ->
+      let vol = Flexvol.create block_map_spec in
+      let oracle = Hashtbl.create 64 in
+      let ok = ref true in
+      let expect b = if not b then ok := false in
+      List.iter
+        (fun (file, offset, w) ->
+          match w with
+          | Some vvbn ->
+            let old = Hashtbl.find_opt oracle (file, offset) in
+            Hashtbl.replace oracle (file, offset) vvbn;
+            expect (Flexvol.write_file vol ~file ~offset ~vvbn = old)
+          | None ->
+            expect (Flexvol.read_file vol ~file ~offset = Hashtbl.find_opt oracle (file, offset)))
+        ops;
+      let blocks_agree vol =
+        List.for_all
+          (fun file ->
+            Flexvol.file_blocks vol ~file
+            = Hashtbl.fold (fun (f, _) _ n -> if f = file then n + 1 else n) oracle 0)
+          (List.init 16 Fun.id)
+      in
+      let reads_agree vol =
+        List.for_all
+          (fun (file, offset, _) ->
+            Flexvol.read_file vol ~file ~offset = Hashtbl.find_opt oracle (file, offset))
+          ops
+      in
+      expect (blocks_agree vol);
+      let ns = Flexvol.export_namespace vol in
+      (* the export is a copy: later writes to the source don't reach it *)
+      List.iter (fun (file, offset, _) -> ignore (Flexvol.write_file vol ~file ~offset ~vvbn:0)) ops;
+      let fresh = Flexvol.create block_map_spec in
+      Flexvol.import_namespace fresh ns;
+      expect (reads_agree fresh);
+      expect (blocks_agree fresh);
+      expect
+        (List.sort Int.compare (Flexvol.files fresh)
+        = List.sort_uniq Int.compare (Hashtbl.fold (fun (f, _) _ acc -> f :: acc) oracle []));
+      !ok)
+
+let test_block_map_edges () =
+  let vol = Flexvol.create block_map_spec in
+  let raises label f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s: expected Invalid_argument" label
+  in
+  raises "negative offset" (fun () -> Flexvol.write_file vol ~file:1 ~offset:(-1) ~vvbn:5);
+  Alcotest.(check (option int)) "negative offset reads a hole" None
+    (Flexvol.read_file vol ~file:1 ~offset:(-1));
+  raises "offset 2^32" (fun () -> Flexvol.write_file vol ~file:1 ~offset:(1 lsl 32) ~vvbn:5);
+  raises "offset max_int" (fun () -> Flexvol.write_file vol ~file:1 ~offset:max_int ~vvbn:5);
+  raises "negative vvbn" (fun () -> Flexvol.write_file vol ~file:1 ~offset:0 ~vvbn:(-1));
+  check_int "rejected writes map nothing" 0 (Flexvol.file_blocks vol ~file:1);
+  check_int "rejected writes allocate no page" 0 (Flexvol.l0_pages vol ~file:1);
+  ignore (Flexvol.write_file vol ~file:1 ~offset:(1 lsl 22) ~vvbn:7);
+  check_int "one sparse write, one L0 page" 1 (Flexvol.l0_pages vol ~file:1);
+  check_int "one block mapped" 1 (Flexvol.file_blocks vol ~file:1);
+  Alcotest.(check (option int)) "sparse read" (Some 7)
+    (Flexvol.read_file vol ~file:1 ~offset:(1 lsl 22));
+  Alcotest.(check (option int)) "neighbour is a hole" None
+    (Flexvol.read_file vol ~file:1 ~offset:((1 lsl 22) + 1));
+  Alcotest.(check (option int)) "below is a hole" None (Flexvol.read_file vol ~file:1 ~offset:0);
+  Alcotest.(check (option int)) "beyond L1 is a hole" None
+    (Flexvol.read_file vol ~file:1 ~offset:((1 lsl 32) - 1));
+  Alcotest.(check (option int)) "unknown file" None (Flexvol.read_file vol ~file:2 ~offset:0);
+  check_int "unknown file has no blocks" 0 (Flexvol.file_blocks vol ~file:2);
+  raises "import across volume sizes" (fun () ->
+      Flexvol.import_namespace
+        (Flexvol.create { block_map_spec with Config.blocks = 2000 })
+        (Flexvol.export_namespace vol))
+
 let test_flexvol_remap () =
   let vol =
     Flexvol.create { Config.name = "v"; blocks = 1000; aa_blocks = None; policy = Config.Best_aa }
@@ -329,6 +420,24 @@ let test_cp_coalesces_staged_duplicates () =
   check_int "coalesced" 1 (Fs.staged_count fs);
   let report = Fs.run_cp fs in
   check_int "one op" 1 report.Cp.ops
+
+(* An offset the block map cannot hold is refused when it is staged, so
+   no CP starts with a write it cannot place. *)
+let test_cp_stage_rejects_bad_offset () =
+  let fs = Fs.create (small_config ()) in
+  let vol = Fs.vol fs "vol0" in
+  Fs.stage_write fs ~vol ~file:1 ~offset:0;
+  List.iter
+    (fun offset ->
+      match Fs.stage_write fs ~vol ~file:1 ~offset with
+      | exception Invalid_argument _ -> ()
+      | () -> Alcotest.failf "offset %d: expected Invalid_argument" offset)
+    [ -1; Flexvol.max_file_offset; max_int ];
+  check_int "nothing staged" 1 (Fs.staged_count fs);
+  check_int "no CP ran" 0 (Fs.cps_completed fs);
+  let report = Fs.run_cp fs in
+  check_int "valid write placed" 1 report.Cp.blocks_allocated;
+  check_bool "mapped" true (Flexvol.read_file vol ~file:1 ~offset:0 <> None)
 
 let test_cp_no_double_allocation_over_many_cps () =
   let fs = Fs.create (small_config ()) in
@@ -748,6 +857,40 @@ let test_mount_restores_namespace () =
   check_bool "identical mapping" true
     (Flexvol.read_file vol ~file:3 ~offset:17 = Flexvol.read_file vol2 ~file:3 ~offset:17)
 
+(* A crash image is a copy: the source running on after the snapshot, or
+   one of two mounts of the same image writing, must not change what
+   another mount of it reads. *)
+let test_image_isolation () =
+  let fs = Fs.create (small_config ()) in
+  let vol = Fs.vol fs "vol0" in
+  let n = 3000 in
+  let overwrite fs vol =
+    for offset = 0 to n - 1 do
+      Fs.stage_write fs ~vol ~file:3 ~offset
+    done;
+    ignore (Fs.run_cp fs)
+  in
+  overwrite fs vol;
+  let image = Mount.snapshot fs in
+  let mapping vol =
+    Array.init n (fun offset ->
+        let vvbn = Option.get (Flexvol.read_file vol ~file:3 ~offset) in
+        (vvbn, Flexvol.pvbn_of_vvbn vol vvbn))
+  in
+  let at_snapshot = mapping vol in
+  overwrite fs vol;
+  overwrite fs vol;
+  check_bool "source moved on" true (mapping vol <> at_snapshot);
+  let fs1, _ = Mount.mount image ~with_topaa:true in
+  let fs2, _ = Mount.mount image ~with_topaa:true ~lazy_rebuild:true in
+  let vol1 = Fs.vol fs1 "vol0" and vol2 = Fs.vol fs2 "vol0" in
+  check_bool "first mount reads the snapshot" true (mapping vol1 = at_snapshot);
+  check_bool "lazy mount reads the snapshot" true (mapping vol2 = at_snapshot);
+  overwrite fs1 vol1;
+  check_bool "first mount moved on" true (mapping vol1 <> at_snapshot);
+  check_bool "second mount unaffected" true (mapping vol2 = at_snapshot);
+  check_int "second mount still Iron-clean" 0 (List.length (Iron.check fs2))
+
 let test_torn_bitmap_page_repaired () =
   let fs = Fs.create (small_config ()) in
   let vol = Fs.vol fs "vol0" in
@@ -1160,6 +1303,8 @@ let () =
         [
           Alcotest.test_case "mapping" `Quick test_flexvol_mapping;
           Alcotest.test_case "files" `Quick test_flexvol_files;
+          Alcotest.test_case "block map edges" `Quick test_block_map_edges;
+          QCheck_alcotest.to_alcotest prop_block_map_matches_oracle;
           Alcotest.test_case "remap" `Quick test_flexvol_remap;
         ] );
       ( "write_alloc",
@@ -1183,6 +1328,7 @@ let () =
           Alcotest.test_case "simple write" `Quick test_cp_simple_write;
           Alcotest.test_case "overwrite frees" `Quick test_cp_overwrite_frees;
           Alcotest.test_case "coalesces duplicates" `Quick test_cp_coalesces_staged_duplicates;
+          Alcotest.test_case "stage rejects bad offset" `Quick test_cp_stage_rejects_bad_offset;
           Alcotest.test_case "no double allocation" `Quick
             test_cp_no_double_allocation_over_many_cps;
           Alcotest.test_case "raid accounting" `Quick test_cp_raid_accounting;
@@ -1242,6 +1388,7 @@ let () =
           Alcotest.test_case "corruption costs time" `Quick test_mount_corrupt_costlier_than_clean;
           Alcotest.test_case "corrupt bounds checked" `Quick test_mount_corrupt_bounds;
           Alcotest.test_case "namespace survives mount" `Quick test_mount_restores_namespace;
+          Alcotest.test_case "image isolation" `Quick test_image_isolation;
           Alcotest.test_case "torn bitmap page repaired" `Quick test_torn_bitmap_page_repaired;
         ] );
       ( "mixed-media",

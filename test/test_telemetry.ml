@@ -300,12 +300,80 @@ let test_span_semantics () =
        Span.all);
   check_bool "bit_clear nests under the commit" true
     (Span.parent Span.Bit_clear = Some Span.Activemap_commit);
+  check_bool "place nests under cp" true (Span.parent Span.Place = Some Span.Cp);
+  check_string "place name" "cp.place" (Span.name Span.Place);
   check_int "root depth" 0 (Span.depth Span.Cp);
   check_int "bit_clear depth" 2 (Span.depth Span.Bit_clear);
   check_bool "names are stable" true (Span.name Span.Device_flush = "cp.device_flush");
   Span.clear s;
   check_int "clear drops counts" 0 (Span.count s Span.Cp);
   check_int "clear drops totals" 0 (Span.total_ns s Span.Cp)
+
+(* The static tree holds on real CPs: every span's total stays within its
+   parent's, and the CP's direct children — pick, harvest, placement,
+   device flush, commit — are disjoint, so together they fit in the CP.
+   Two systems cover both placement paths: plain, and temperature-routed
+   (whose classify pass runs under [Place] too). *)
+let test_span_tree_on_cps () =
+  let open Wafl_core in
+  let config classes =
+    let rg =
+      {
+        Config.media = Config.Hdd Wafl_device.Profile.default_hdd;
+        data_devices = 4;
+        parity_devices = 1;
+        device_blocks = 8192;
+        aa_stripes = Some 512;
+      }
+    in
+    Config.make ~raid_groups:[ rg ]
+      ~vols:[ Config.default_vol ~name:"vol0" ~blocks:65536 ]
+      ~streams:{ Config.default_streams with Config.temp_classes = classes }
+      ~seed:3 ()
+  in
+  List.iter
+    (fun classes ->
+      let tel = Telemetry.create () in
+      let cps = 6 in
+      Telemetry.with_installed tel (fun () ->
+          let fs = Fs.create (config classes) in
+          let vol = Fs.vol fs "vol0" in
+          for cp = 1 to cps do
+            (* overwrite a shifting window so later CPs classify real
+               lifespans *)
+            for offset = 0 to 1999 do
+              Fs.stage_write fs ~vol ~file:1 ~offset:((offset * cp) mod 3000)
+            done;
+            ignore (Fs.run_cp fs)
+          done);
+      let sp = Telemetry.spans tel in
+      let label fmt = Printf.sprintf ("%d classes: " ^^ fmt) classes in
+      check_int (label "cp spans") cps (Span.count sp Span.Cp);
+      (* once per batch, never per block: one batch per CP unrouted; a
+         classify pass plus one batch per non-empty class when routed *)
+      let places = Span.count sp Span.Place in
+      if classes = 1 then check_int (label "one place per CP") cps places
+      else
+        check_bool (label "classify + class batches per CP") true
+          (places >= 2 * cps && places <= cps * (classes + 1));
+      check_bool (label "place measured time") true (Span.total_ns sp Span.Place > 0);
+      List.iter
+        (fun k ->
+          match Span.parent k with
+          | None -> ()
+          | Some p ->
+            check_bool
+              (label "%s within %s" (Span.name k) (Span.name p))
+              true
+              (Span.total_ns sp k <= Span.total_ns sp p))
+        Span.all;
+      let children =
+        List.fold_left
+          (fun acc k -> if Span.parent k = Some Span.Cp then acc + Span.total_ns sp k else acc)
+          0 Span.all
+      in
+      check_bool (label "cp children disjoint") true (children <= Span.total_ns sp Span.Cp))
+    [ 1; 4 ]
 
 (* --- time series --- *)
 
@@ -516,6 +584,7 @@ let () =
         [
           Alcotest.test_case "enter/exit semantics" `Quick test_span_semantics;
           Alcotest.test_case "json round-trip" `Quick test_span_json_roundtrip;
+          Alcotest.test_case "tree holds on real CPs" `Quick test_span_tree_on_cps;
         ] );
       ( "timeseries",
         [
