@@ -1535,8 +1535,6 @@ let run_streams ~scale () =
    hockey-stick shape (monotone latency, capacity asymptote).  Writes
    BENCH_latency.json. *)
 
-let lat_model () = Wafl_sim.Cost_model.latency_model Wafl_sim.Cost_model.default
-
 (* One aged sequential-write system, [cps] CPs of [ops] staged writes
    each, run with [tel] installed; returns the per-CP reports. *)
 let lat_run_workload ~tel ~cps ~ops () =
@@ -1598,7 +1596,7 @@ let latency_uninstalled_hooks () =
 let latency_cp_overhead () =
   let cps = 20 and ops = 1000 in
   let time ~with_lat =
-    let lat = if with_lat then Some (Wafl_telemetry.Latency.create ~model:(lat_model ()) ()) else None in
+    let lat = if with_lat then Some (Wafl_telemetry.Latency.create ()) else None in
     let tel = Wafl_telemetry.Telemetry.create ?latency:lat () in
     let t0 = Unix.gettimeofday () in
     ignore (lat_run_workload ~tel ~cps ~ops ());
@@ -1630,10 +1628,7 @@ let latency_spike_run () =
   in
   Wafl_fault.Fault.install_default spec;
   Fun.protect ~finally:Wafl_fault.Fault.uninstall_default (fun () ->
-      let lat =
-        Wafl_telemetry.Latency.create ~model:(lat_model ())
-          ~slo:(Wafl_telemetry.Slo.create [ objective ]) ()
-      in
+      let lat = Wafl_telemetry.Latency.create ~slo:(Wafl_telemetry.Slo.create [ objective ]) () in
       let tel = Wafl_telemetry.Telemetry.create ~latency:lat () in
       ignore (lat_run_workload ~tel ~cps:30 ~ops:500 ());
       let exs = Wafl_telemetry.Latency.exemplars lat in
@@ -1658,7 +1653,7 @@ let latency_spike_run () =
 let latency_curve () =
   let batches = [ 100; 200; 400; 800; 1600 ] in
   let measure n =
-    let lat = Wafl_telemetry.Latency.create ~model:(lat_model ()) () in
+    let lat = Wafl_telemetry.Latency.create () in
     let tel = Wafl_telemetry.Telemetry.create ~latency:lat () in
     let reports = lat_run_workload ~tel ~cps:12 ~ops:n () in
     let costs = Wafl_sim.Cost_model.combine (List.map Wafl_sim.Cost_model.of_report reports) in

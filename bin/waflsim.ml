@@ -10,9 +10,10 @@ let scale_arg =
 
 let metrics_out_arg =
   let doc =
-    "Write a JSON telemetry report (counters, gauges, histograms, per-CP snapshots) to \
-     $(docv) when the run finishes.  With $(b,.csv) as the extension the report is \
-     rendered as CSV rows instead."
+    "Write a JSON telemetry report (counters, gauges, histograms, span totals, time-series \
+     and trace summaries) to $(docv) when the run finishes.  With $(b,.csv) as the \
+     extension the report is rendered as CSV rows instead.  Per-CP values are in the \
+     $(b,--timeseries-out) rows."
   in
   Arg.(value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE" ~doc)
 
@@ -94,28 +95,17 @@ let trace_out_arg =
   in
   Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc)
 
-(* Reject non-positive numeric flags at parse time, before any experiment
+(* Numeric flags are range-checked at parse time, before any experiment
    state is built, with the flag's own name in the message. *)
-let positive_int flag =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n > 0 -> Ok n
-    | Some n -> Error (`Msg (Printf.sprintf "%s must be positive (got %d)" flag n))
-    | None -> Error (`Msg (Printf.sprintf "%s expects a positive integer (got %S)" flag s))
+let int_in flag ~lo ?(hi = max_int) () =
+  let range =
+    if hi = max_int then Printf.sprintf "at least %d" lo else Printf.sprintf "in %d..%d" lo hi
   in
-  Arg.conv ~docv:"N" (parse, Format.pp_print_int)
-
-(* Like [positive_int] but with an inclusive range, for flags whose legal
-   values Config.make would otherwise reject mid-run. *)
-let bounded_int flag ~lo ~hi =
   let parse s =
     match int_of_string_opt s with
     | Some n when n >= lo && n <= hi -> Ok n
-    | Some n ->
-      Error (`Msg (Printf.sprintf "%s must be in %d..%d (got %d)" flag lo hi n))
-    | None ->
-      Error
-        (`Msg (Printf.sprintf "%s expects an integer in %d..%d (got %S)" flag lo hi s))
+    | Some n -> Error (`Msg (Printf.sprintf "%s must be %s (got %d)" flag range n))
+    | None -> Error (`Msg (Printf.sprintf "%s expects an integer %s (got %S)" flag range s))
   in
   Arg.conv ~docv:"N" (parse, Format.pp_print_int)
 
@@ -129,7 +119,7 @@ let temp_classes_arg =
   in
   Arg.(
     value
-    & opt (bounded_int "--temp-classes" ~lo:1 ~hi:4) 1
+    & opt (int_in "--temp-classes" ~lo:1 ~hi:4 ()) 1
     & info [ "temp-classes" ] ~docv:"N" ~doc)
 
 let streams_arg =
@@ -140,7 +130,7 @@ let streams_arg =
   in
   Arg.(
     value
-    & opt (bounded_int "--streams" ~lo:1 ~hi:8) 1
+    & opt (int_in "--streams" ~lo:1 ~hi:8 ()) 1
     & info [ "streams" ] ~docv:"N" ~doc)
 
 let wear_bias_arg =
@@ -151,22 +141,14 @@ let wear_bias_arg =
   in
   Arg.(
     value
-    & opt (bounded_int "--wear-bias" ~lo:0 ~hi:255) 0
+    & opt (int_in "--wear-bias" ~lo:0 ~hi:255 ()) 0
     & info [ "wear-bias" ] ~docv:"N" ~doc)
-
-let with_streams ~temp_classes ~streams ~wear_bias f =
-  if temp_classes = 1 && streams = 1 && wear_bias = 0 then f ()
-  else
-    Wafl_core.Config.with_default_streams
-      { Wafl_core.Config.temp_classes; ssd_streams = streams; wear_bias;
-        meta_file = None }
-      f
 
 let trace_capacity_arg =
   let doc = "Ring-buffer capacity (events retained) for $(b,--trace-out)." in
   Arg.(
     value
-    & opt (positive_int "--trace-capacity") 65_536
+    & opt (int_in "--trace-capacity" ~lo:1 ()) 65_536
     & info [ "trace-capacity" ] ~docv:"N" ~doc)
 
 let timeseries_out_arg =
@@ -194,18 +176,7 @@ let jobs_arg =
      bit-identical to a serial run at any $(docv).  The default of 1 keeps every \
      path serial."
   in
-  Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
-
-let with_jobs jobs f =
-  if jobs < 1 then begin
-    Printf.eprintf "waflsim: --jobs must be at least 1 (got %d)\n" jobs;
-    exit 2
-  end
-  else if jobs = 1 then f ()
-  else begin
-    Wafl_par.Par.install ~jobs;
-    Fun.protect ~finally:Wafl_par.Par.uninstall f
-  end
+  Arg.(value & opt (int_in "--jobs" ~lo:1 ()) 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
 (* --backend is validated entirely at parse time: a bad PATH fails the
    command line, never a half-finished run.  An absent mmap directory is
@@ -272,13 +243,6 @@ let backend_arg =
     & opt backend_conv (Default_backend Wafl_bitmap.Pagestore.Heap)
     & info [ "backend" ] ~docv:"BACKEND" ~doc)
 
-let with_backend choice f =
-  match choice with
-  | Default_backend b -> Wafl_bitmap.Pagestore.with_default b f
-  | Mmap_dir dir ->
-    Wafl_bitmap.Pagestore.with_default Wafl_bitmap.Pagestore.Bigarray (fun () ->
-        Wafl_bitmap.Pagestore.with_mmap_dir dir f)
-
 let scrub_rate_arg =
   let doc =
     "Enable the background pagestore scrubber: after every CP, verify $(docv) \
@@ -289,18 +253,7 @@ let scrub_rate_arg =
      tracked pages takes ceil(N/$(docv)) CPs.  Only meaningful with \
      $(b,--backend mmap:PATH); the default of 0 disables scrubbing."
   in
-  Arg.(value & opt int 0 & info [ "scrub-rate" ] ~docv:"N" ~doc)
-
-let with_scrub rate f =
-  if rate < 0 then begin
-    Printf.eprintf "waflsim: --scrub-rate must be >= 0 (got %d)\n" rate;
-    exit 2
-  end
-  else if rate = 0 then f ()
-  else begin
-    Wafl_core.Scrub.enable ~rate ();
-    Fun.protect ~finally:Wafl_core.Scrub.disable f
-  end
+  Arg.(value & opt (int_in "--scrub-rate" ~lo:0 ()) 0 & info [ "scrub-rate" ] ~docv:"N" ~doc)
 
 let alloc_domains_arg =
   let doc =
@@ -311,18 +264,7 @@ let alloc_domains_arg =
      identical to a serial run at any $(docv); the default of 1 keeps allocation \
      serial."
   in
-  Arg.(value & opt int 1 & info [ "alloc-domains" ] ~docv:"N" ~doc)
-
-let with_alloc_domains n f =
-  if n < 1 then begin
-    Printf.eprintf "waflsim: --alloc-domains must be at least 1 (got %d)\n" n;
-    exit 2
-  end
-  else if n = 1 then f ()
-  else begin
-    Wafl_core.Write_alloc.install_alloc_pool ~jobs:n;
-    Fun.protect ~finally:Wafl_core.Write_alloc.uninstall_alloc_pool f
-  end
+  Arg.(value & opt (int_in "--alloc-domains" ~lo:1 ()) 1 & info [ "alloc-domains" ] ~docv:"N" ~doc)
 
 let no_iron_gate_arg =
   let doc =
@@ -349,12 +291,100 @@ let parse_fault_spec = function
       Printf.eprintf "waflsim: bad --fault-spec: %s\n" msg;
       exit 2)
 
-let with_fault_spec spec f =
-  match spec with
+(* The process-wide runtime a subcommand runs under: temperature
+   streams, page-store backend, scan pool, allocation domains, scrubber
+   and device fault profile.  Each is installed only when it differs from
+   the default. *)
+type env = {
+  streams : Wafl_core.Config.stream_spec option;
+  backend : backend_choice;
+  jobs : int;
+  alloc_domains : int;
+  scrub_rate : int;
+  fault_spec : Wafl_fault.Fault.spec option;
+}
+
+(* Every env takes the backend and domain flags; [~streams] adds
+   --temp-classes/--streams/--wear-bias and [~faults] adds --fault-spec. *)
+let env_term ~streams ~faults =
+  let streams =
+    if not streams then Term.const None
+    else
+      Term.(
+        const (fun temp_classes ssd_streams wear_bias ->
+            if temp_classes = 1 && ssd_streams = 1 && wear_bias = 0 then None
+            else
+              Some
+                { Wafl_core.Config.temp_classes; ssd_streams; wear_bias; meta_file = None })
+        $ temp_classes_arg $ streams_arg $ wear_bias_arg)
+  in
+  let fault_spec =
+    if faults then Term.(const parse_fault_spec $ fault_spec_arg) else Term.const None
+  in
+  Term.(
+    const (fun streams backend jobs alloc_domains scrub_rate fault_spec ->
+        { streams; backend; jobs; alloc_domains; scrub_rate; fault_spec })
+    $ streams $ backend_arg $ jobs_arg $ alloc_domains_arg $ scrub_rate_arg $ fault_spec)
+
+let with_env env f =
+  let around install uninstall f () =
+    install ();
+    Fun.protect ~finally:uninstall f
+  in
+  let f =
+    match env.fault_spec with
+    | None -> f
+    | Some spec ->
+      around
+        (fun () -> Wafl_fault.Fault.install_default spec)
+        Wafl_fault.Fault.uninstall_default f
+  in
+  let f =
+    if env.scrub_rate = 0 then f
+    else
+      around (fun () -> Wafl_core.Scrub.enable ~rate:env.scrub_rate ()) Wafl_core.Scrub.disable f
+  in
+  let f =
+    if env.alloc_domains = 1 then f
+    else
+      around
+        (fun () -> Wafl_core.Write_alloc.install_alloc_pool ~jobs:env.alloc_domains)
+        Wafl_core.Write_alloc.uninstall_alloc_pool f
+  in
+  let f =
+    if env.jobs = 1 then f
+    else around (fun () -> Wafl_par.Par.install ~jobs:env.jobs) Wafl_par.Par.uninstall f
+  in
+  let f () =
+    match env.backend with
+    | Default_backend b -> Wafl_bitmap.Pagestore.with_default b f
+    | Mmap_dir dir ->
+      Wafl_bitmap.Pagestore.with_default Wafl_bitmap.Pagestore.Bigarray (fun () ->
+          Wafl_bitmap.Pagestore.with_mmap_dir dir f)
+  in
+  match env.streams with
   | None -> f ()
-  | Some spec ->
-    Wafl_fault.Fault.install_default spec;
-    Fun.protect ~finally:Wafl_fault.Fault.uninstall_default f
+  | Some streams -> Wafl_core.Config.with_default_streams streams f
+
+(* The telemetry output and request-latency flags every subcommand takes. *)
+type telemetry_opts = {
+  metrics_out : string option;
+  metrics_format : metrics_format;
+  trace_out : string option;
+  trace_capacity : int;
+  timeseries_out : string option;
+  latency : bool;
+  slos : Slo.objective list;
+}
+
+let telemetry_term =
+  Term.(
+    const
+      (fun metrics_out metrics_format trace_out trace_capacity timeseries_out latency slos ->
+        { metrics_out; metrics_format; trace_out; trace_capacity; timeseries_out; latency;
+          slos })
+    $ metrics_out_arg $ metrics_format_arg $ trace_out_arg $ trace_capacity_arg
+    $ timeseries_out_arg $ latency_arg $ slo_arg)
 
 (* Post-run Iron gate: check every system the run registered.  Orphan
    blocks are advisory (some experiments allocate aggregate blocks with no
@@ -393,11 +423,13 @@ let check_writable path =
     Printf.eprintf "waflsim: cannot write %s: %s\n" path msg;
     exit 2
 
-let flush_telemetry ~metrics_out ~metrics_format ~trace_out ~timeseries_out tel =
+let outputs o = [ o.metrics_out; o.trace_out; o.timeseries_out ]
+
+let flush_telemetry o tel =
   Option.iter
     (fun path ->
       let render =
-        match metrics_format with
+        match o.metrics_format with
         | Mf_json -> Export.metrics_json
         | Mf_csv -> Export.metrics_csv
         | Mf_prom -> Export.metrics_prom
@@ -408,7 +440,7 @@ let flush_telemetry ~metrics_out ~metrics_format ~trace_out ~timeseries_out tel 
       in
       write_file path (render tel);
       Printf.printf "telemetry: metrics written to %s\n%!" path)
-    metrics_out;
+    o.metrics_out;
   Option.iter
     (fun path ->
       let render =
@@ -416,7 +448,7 @@ let flush_telemetry ~metrics_out ~metrics_format ~trace_out ~timeseries_out tel 
       in
       write_file path (render tel);
       Printf.printf "telemetry: trace written to %s\n%!" path)
-    trace_out;
+    o.trace_out;
   Option.iter
     (fun path ->
       let render =
@@ -425,18 +457,13 @@ let flush_telemetry ~metrics_out ~metrics_format ~trace_out ~timeseries_out tel 
       in
       write_file path (render tel);
       Printf.printf "telemetry: time series written to %s\n%!" path)
-    timeseries_out
+    o.timeseries_out
 
-(* A --latency / --slo run gets a request-latency recorder seeded with the
-   sim's cost constants, so the modeled per-op clock and the analytic
-   M/G/1 sweeps price the same work identically. *)
-let make_latency ~latency ~slos =
-  if latency || slos <> [] then
-    Some
-      (Latency.create
-         ~model:(Wafl_sim.Cost_model.latency_model Wafl_sim.Cost_model.default)
-         ?slo:(match slos with [] -> None | l -> Some (Slo.create l))
-         ())
+(* A --latency / --slo run gets a request-latency recorder; it prices ops
+   with the one cost table the analytic M/G/1 sweeps use. *)
+let make_latency o =
+  if o.latency || o.slos <> [] then
+    Some (Latency.create ?slo:(match o.slos with [] -> None | l -> Some (Slo.create l)) ())
   else None
 
 (* Post-run latency summary on stdout: headline quantiles, per-volume
@@ -477,50 +504,35 @@ let print_latency_summary tel =
 (* Run [f] with a telemetry instance installed when any output flag is
    given or latency accounting is requested; flush the reports afterwards
    even if [f] raises. *)
-let with_telemetry ~metrics_out ~metrics_format ~trace_out ~trace_capacity ~timeseries_out
-    ~latency ~slos f =
-  let lat = make_latency ~latency ~slos in
-  match (metrics_out, trace_out, timeseries_out, lat) with
-  | None, None, None, None -> f ()
-  | _ ->
-    if trace_capacity <= 0 then begin
-      Printf.eprintf "waflsim: --trace-capacity must be positive (got %d)\n" trace_capacity;
-      exit 2
-    end;
-    Option.iter check_writable metrics_out;
-    Option.iter check_writable trace_out;
-    Option.iter check_writable timeseries_out;
+let wants_telemetry o = o.latency || o.slos <> [] || List.exists Option.is_some (outputs o)
+
+let with_telemetry o f =
+  if not (wants_telemetry o) then f ()
+  else begin
+    List.iter (Option.iter check_writable) (outputs o);
     let tel =
-      Telemetry.create ~trace_capacity ~tracing:(trace_out <> None) ?latency:lat ()
+      Telemetry.create ~trace_capacity:o.trace_capacity ~tracing:(o.trace_out <> None)
+        ?latency:(make_latency o) ()
     in
     let flush () =
-      flush_telemetry ~metrics_out ~metrics_format ~trace_out ~timeseries_out tel;
+      flush_telemetry o tel;
       print_latency_summary tel
     in
     Telemetry.with_installed tel (fun () -> Fun.protect ~finally:flush f)
+  end
 
 let experiment_cmd name ~doc run_print =
-  let run s metrics_out metrics_format trace_out trace_capacity timeseries_out latency
-      slos fault_spec no_iron_gate jobs backend alloc_domains scrub_rate temp_classes
-      streams wear_bias =
-    with_streams ~temp_classes ~streams ~wear_bias (fun () ->
-    with_backend backend (fun () ->
-    with_jobs jobs (fun () ->
-    with_alloc_domains alloc_domains (fun () ->
-    with_scrub scrub_rate (fun () ->
-        with_fault_spec (parse_fault_spec fault_spec) (fun () ->
-            if not no_iron_gate then Wafl_core.Fs.enable_registry ();
-            with_telemetry ~metrics_out ~metrics_format ~trace_out ~trace_capacity
-              ~timeseries_out ~latency ~slos
-              (fun () -> run_print (parse_scale s));
-            if not no_iron_gate then run_iron_gate ()))))))
+  let run s tel env no_iron_gate =
+    with_env env (fun () ->
+        if not no_iron_gate then Wafl_core.Fs.enable_registry ();
+        with_telemetry tel (fun () -> run_print (parse_scale s));
+        if not no_iron_gate then run_iron_gate ())
   in
   Cmd.v (Cmd.info name ~doc)
     Term.(
-      const run $ scale_arg $ metrics_out_arg $ metrics_format_arg $ trace_out_arg
-      $ trace_capacity_arg $ timeseries_out_arg $ latency_arg $ slo_arg $ fault_spec_arg
-      $ no_iron_gate_arg $ jobs_arg $ backend_arg $ alloc_domains_arg $ scrub_rate_arg
-      $ temp_classes_arg $ streams_arg $ wear_bias_arg)
+      const run $ scale_arg $ telemetry_term
+      $ env_term ~streams:true ~faults:true
+      $ no_iron_gate_arg)
 
 let fig6_cmd =
   experiment_cmd "fig6" ~doc:"AA-cache latency/throughput experiment (Figure 6)"
@@ -617,16 +629,9 @@ let crash_matrix_cmd =
              Only meaningful with $(b,--backend mmap:PATH), where each crash-matrix run \
              gets its own wiped subdirectory and the remount reloads sidecars from disk.")
   in
-  let run seed cps ops no_cleaner foreground_rebuild lazy_rebuild verify_mount fault_spec
-      jobs backend alloc_domains scrub_rate metrics_out metrics_format trace_out
-      trace_capacity timeseries_out latency slos =
-    with_backend backend (fun () ->
-    with_jobs jobs (fun () ->
-    with_alloc_domains alloc_domains (fun () ->
-    with_scrub scrub_rate (fun () ->
-    with_fault_spec (parse_fault_spec fault_spec) (fun () ->
-    with_telemetry ~metrics_out ~metrics_format ~trace_out ~trace_capacity ~timeseries_out
-      ~latency ~slos (fun () ->
+  let run seed cps ops no_cleaner foreground_rebuild lazy_rebuild verify_mount env tel =
+    with_env env (fun () ->
+    with_telemetry tel (fun () ->
         let r =
           Wafl_core.Crash_matrix.run ~with_cleaner:(not no_cleaner)
             ~background_rebuild:(not foreground_rebuild) ~lazy_rebuild
@@ -650,7 +655,7 @@ let crash_matrix_cmd =
             (fun v -> Format.printf "VIOLATION: %a@." Wafl_core.Crash_matrix.pp_violation v)
             vs;
           Printf.eprintf "waflsim: crash matrix found %d violation(s)\n" (List.length vs);
-          exit 1))))))
+          exit 1))
   in
   Cmd.v
     (Cmd.info "crash-matrix"
@@ -660,9 +665,9 @@ let crash_matrix_cmd =
           clean Iron check)")
     Term.(
       const run $ seed_arg $ cps_arg $ ops_arg $ no_cleaner_arg $ foreground_rebuild_arg
-      $ lazy_rebuild_arg $ verify_mount_arg $ fault_spec_arg $ jobs_arg $ backend_arg
-      $ alloc_domains_arg $ scrub_rate_arg $ metrics_out_arg $ metrics_format_arg
-      $ trace_out_arg $ trace_capacity_arg $ timeseries_out_arg $ latency_arg $ slo_arg)
+      $ lazy_rebuild_arg $ verify_mount_arg
+      $ env_term ~streams:false ~faults:true
+      $ telemetry_term)
 
 (* `waflsim top`: drive an aged random-overwrite system and redraw a
    one-screen health view (current CP phase, picks/s, search ns/block,
@@ -673,19 +678,19 @@ let top_cmd =
   let cps_arg =
     Arg.(
       value
-      & opt (positive_int "--cps") 120
+      & opt (int_in "--cps" ~lo:1 ()) 120
       & info [ "cps" ] ~docv:"N" ~doc:"Consistency points to run.")
   in
   let ops_arg =
     Arg.(
       value
-      & opt (positive_int "--ops") 1000
+      & opt (int_in "--ops" ~lo:1 ()) 1000
       & info [ "ops" ] ~docv:"N" ~doc:"Staged client operations per CP.")
   in
   let stats_interval_arg =
     Arg.(
       value
-      & opt (positive_int "--stats-interval") 5
+      & opt (int_in "--stats-interval" ~lo:1 ()) 5
       & info [ "stats-interval" ] ~docv:"N" ~doc:"Redraw the health view every $(docv) CPs.")
   in
   let seed_arg =
@@ -701,74 +706,63 @@ let top_cmd =
              per-stream relocations and peak erase-block wear.  Combine with \
              $(b,--temp-classes)/$(b,--streams) to watch segregation live.")
   in
-  let run s cps ops interval seed ssd metrics_out metrics_format trace_out trace_capacity
-      timeseries_out latency slos fault_spec jobs backend alloc_domains scrub_rate
-      temp_classes streams wear_bias =
+  let run s cps ops interval seed ssd o env =
     let scale = parse_scale s in
-    with_streams ~temp_classes ~streams ~wear_bias (fun () ->
-    with_backend backend (fun () ->
-    with_jobs jobs (fun () ->
-    with_alloc_domains alloc_domains (fun () ->
-    with_scrub scrub_rate (fun () ->
-        with_fault_spec (parse_fault_spec fault_spec) (fun () ->
-            Option.iter check_writable metrics_out;
-            Option.iter check_writable trace_out;
-            Option.iter check_writable timeseries_out;
-            (* top always installs telemetry: the health view is the point *)
-            let tel =
-              Telemetry.create ~trace_capacity ~series_capacity:(max 1024 cps)
-                ~tracing:(trace_out <> None)
-                ?latency:(make_latency ~latency ~slos) ()
-            in
-            let tty = Unix.isatty Unix.stdout in
-            let redraw () =
-              if tty then print_string "\027[2J\027[H";
-              print_string (Report.health tel);
-              flush stdout
-            in
-            let samples = ref 0 in
-            Telemetry.on_sample tel
-              (Some
-                 (fun () ->
-                   incr samples;
-                   if !samples mod interval = 0 then redraw ()));
-            Telemetry.with_installed tel (fun () ->
-                Fun.protect
-                  ~finally:(fun () ->
-                    flush_telemetry ~metrics_out ~metrics_format ~trace_out
-                      ~timeseries_out tel)
-                  (fun () ->
-                    let rg =
-                      if ssd then Common.ssd_raid_group scale ~aa_stripes:None
-                      else Common.hdd_raid_group scale
-                    in
-                    let agg_blocks =
-                      rg.Wafl_core.Config.data_devices * rg.Wafl_core.Config.device_blocks
-                    in
-                    let config =
-                      Wafl_core.Config.make ~raid_groups:[ rg ]
-                        ~vols:
-                          [ { Wafl_core.Config.name = "lun"; blocks = agg_blocks * 9 / 8;
-                              aa_blocks = Some 1024; policy = Wafl_core.Config.Best_aa } ]
-                        ~aggregate_policy:Wafl_core.Config.Best_aa ~seed ()
-                    in
-                    let fs = Wafl_core.Fs.create config in
-                    let vol = Wafl_core.Fs.vol fs "lun" in
-                    let rng = Wafl_util.Rng.split (Wafl_core.Fs.rng fs) in
-                    let spec =
-                      { Wafl_workload.Aging.fill_fraction = 0.55; fragmentation_cps = 20;
-                        writes_per_cp = 1000; file = 1 }
-                    in
-                    let working_set = Wafl_workload.Aging.age fs vol ~spec ~rng () in
-                    let workload =
-                      Wafl_workload.Random_overwrite.create fs vol ~working_set
-                        ~rng:(Wafl_util.Rng.split rng) ()
-                    in
-                    for _ = 1 to cps do
-                      ignore (Wafl_workload.Random_overwrite.step workload ops)
-                    done;
-                    redraw ())))))))
-        )
+    with_env env (fun () ->
+        List.iter (Option.iter check_writable) (outputs o);
+        (* top always installs telemetry: the health view is the point *)
+        let tel =
+          Telemetry.create ~trace_capacity:o.trace_capacity
+            ~series_capacity:(max 1024 cps)
+            ~tracing:(o.trace_out <> None)
+            ?latency:(make_latency o) ()
+        in
+        let tty = Unix.isatty Unix.stdout in
+        let redraw () =
+          if tty then print_string "\027[2J\027[H";
+          print_string (Report.health tel);
+          flush stdout
+        in
+        let samples = ref 0 in
+        Telemetry.on_sample tel
+          (Some
+             (fun () ->
+               incr samples;
+               if !samples mod interval = 0 then redraw ()));
+        Telemetry.with_installed tel (fun () ->
+            Fun.protect
+              ~finally:(fun () -> flush_telemetry o tel)
+              (fun () ->
+                let rg =
+                  if ssd then Common.ssd_raid_group scale ~aa_stripes:None
+                  else Common.hdd_raid_group scale
+                in
+                let agg_blocks =
+                  rg.Wafl_core.Config.data_devices * rg.Wafl_core.Config.device_blocks
+                in
+                let config =
+                  Wafl_core.Config.make ~raid_groups:[ rg ]
+                    ~vols:
+                      [ { Wafl_core.Config.name = "lun"; blocks = agg_blocks * 9 / 8;
+                          aa_blocks = Some 1024; policy = Wafl_core.Config.Best_aa } ]
+                    ~aggregate_policy:Wafl_core.Config.Best_aa ~seed ()
+                in
+                let fs = Wafl_core.Fs.create config in
+                let vol = Wafl_core.Fs.vol fs "lun" in
+                let rng = Wafl_util.Rng.split (Wafl_core.Fs.rng fs) in
+                let spec =
+                  { Wafl_workload.Aging.fill_fraction = 0.55; fragmentation_cps = 20;
+                    writes_per_cp = 1000; file = 1 }
+                in
+                let working_set = Wafl_workload.Aging.age fs vol ~spec ~rng () in
+                let workload =
+                  Wafl_workload.Random_overwrite.create fs vol ~working_set
+                    ~rng:(Wafl_util.Rng.split rng) ()
+                in
+                for _ = 1 to cps do
+                  ignore (Wafl_workload.Random_overwrite.step workload ops)
+                done;
+                redraw ())))
   in
   Cmd.v
     (Cmd.info "top"
@@ -777,38 +771,23 @@ let top_cmd =
           (CP phase spans, picks/s, search ns/block, free-space fragmentation trend)")
     Term.(
       const run $ scale_arg $ cps_arg $ ops_arg $ stats_interval_arg $ seed_arg $ ssd_arg
-      $ metrics_out_arg $ metrics_format_arg $ trace_out_arg $ trace_capacity_arg
-      $ timeseries_out_arg $ latency_arg $ slo_arg $ fault_spec_arg $ jobs_arg
-      $ backend_arg $ alloc_domains_arg $ scrub_rate_arg $ temp_classes_arg $ streams_arg
-      $ wear_bias_arg)
+      $ telemetry_term
+      $ env_term ~streams:true ~faults:true)
 
 (* Bare `waflsim --metrics-out m.json` (no subcommand) runs the scalar
    suite — the cheapest end-to-end workload that exercises every
    instrumented layer — so the telemetry flags work without picking an
    experiment.  Without any output flag the default remains the help page. *)
 let default =
-  let run s metrics_out metrics_format trace_out trace_capacity timeseries_out latency
-      slos jobs backend alloc_domains scrub_rate =
-    if
-      metrics_out = None && trace_out = None && timeseries_out = None && (not latency)
-      && slos = []
-    then `Help (`Pager, None)
+  let run s tel env =
+    if not (wants_telemetry tel) then `Help (`Pager, None)
     else begin
-      with_backend backend (fun () ->
-          with_jobs jobs (fun () ->
-              with_alloc_domains alloc_domains (fun () ->
-                  with_scrub scrub_rate (fun () ->
-                      with_telemetry ~metrics_out ~metrics_format ~trace_out
-                        ~trace_capacity ~timeseries_out ~latency ~slos
-                        (fun () -> Scalars.print (Scalars.run ~scale:(parse_scale s) ()))))));
+      with_env env (fun () ->
+          with_telemetry tel (fun () -> Scalars.print (Scalars.run ~scale:(parse_scale s) ())));
       `Ok ()
     end
   in
-  Term.(
-    ret
-      (const run $ scale_arg $ metrics_out_arg $ metrics_format_arg $ trace_out_arg
-     $ trace_capacity_arg $ timeseries_out_arg $ latency_arg $ slo_arg $ jobs_arg
-     $ backend_arg $ alloc_domains_arg $ scrub_rate_arg))
+  Term.(ret (const run $ scale_arg $ telemetry_term $ env_term ~streams:false ~faults:false))
 
 let () =
   let info = Cmd.info "waflsim" ~doc:"WAFL free-block search reproduction experiments" in

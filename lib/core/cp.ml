@@ -300,6 +300,16 @@ let timeseries_columns =
     "lat_v1_p50_ms"; "lat_v1_p99_ms"; "lat_v1_p999_ms";
     "lat_v2_p50_ms"; "lat_v2_p99_ms"; "lat_v2_p999_ms";
     "lat_v3_p50_ms"; "lat_v3_p99_ms"; "lat_v3_p999_ms";
+    (* The rest of the CP's report, so this row carries every per-CP fact:
+       free, metafile, cache and scan counts, the fault totals not in a
+       column above, and per-range device work in four slots (ranges past
+       the fourth add into range3_*, like the ssd_reloc_s* cells). *)
+    "vvbns_freed"; "agg_metafile_pages"; "vol_metafile_pages"; "cache_work";
+    "alloc_candidates"; "fault_retries_ok"; "fault_penalty_us";
+    "range0_blocks_written"; "range0_device_us"; "range0_tetrises";
+    "range1_blocks_written"; "range1_device_us"; "range1_tetrises";
+    "range2_blocks_written"; "range2_device_us"; "range2_tetrises";
+    "range3_blocks_written"; "range3_device_us"; "range3_tetrises";
   ]
 
 let run ?pool ?temp walloc staged =
@@ -366,76 +376,66 @@ let run ?pool ?temp walloc staged =
         | None -> ());
         incr placed
       in
-      (match routing with
-      | Some tm ->
-        (* SepBIT-style segregation: classify each write by the lifespan of
-           the version it kills (before any of this CP's placements mutate
-           the file maps), then allocate each class's batch through its own
-           Write_alloc cursor row so classes land in different AAs. *)
-        let classes = Temperature.classes tm in
-        let uid = Flexvol.uid vol and vblocks = Flexvol.blocks vol in
-        let buckets = Array.make classes [] in
-        let rec classify_loop writes k =
-          match writes with
-          | w :: ws when k < got_v ->
-            let prev = Flexvol.read_file vol ~file:w.file ~offset:w.offset in
-            let slot =
-              Temperature.slot_of tm
-                (Temperature.classify tm ~uid ~blocks:vblocks ~file:w.file ~prev)
+      (* Temperature class of each write that got a vvbn (the first
+         [got_v]); unrouted, every write is class 0.  Routed (SepBIT-style
+         segregation), a write is classified by the lifespan of the
+         version it kills, before any of this CP's placements mutate the
+         file maps. *)
+      let classes, cls =
+        match routing with
+        | None -> (1, None)
+        | Some tm ->
+          let uid = Flexvol.uid vol and vblocks = Flexvol.blocks vol in
+          let cls = Array.make got_v 0 in
+          Telemetry.span_enter Span.Place;
+          List.iteri
+            (fun k w ->
+              if k < got_v then begin
+                let prev = Flexvol.read_file vol ~file:w.file ~offset:w.offset in
+                cls.(k) <-
+                  Temperature.slot_of tm
+                    (Temperature.classify tm ~uid ~blocks:vblocks ~file:w.file ~prev)
+              end)
+            writes;
+          Telemetry.span_exit Span.Place;
+          (Temperature.classes tm, Some cls)
+      in
+      let class_of k = match cls with None -> 0 | Some cls -> cls.(k) in
+      let per_class = Array.make classes 0 in
+      for k = 0 to got_v - 1 do
+        let c = class_of k in
+        per_class.(c) <- per_class.(c) + 1
+      done;
+      (* Each class's batch, in write order, allocates through its own
+         Write_alloc cursor row so classes land in different AAs.  Each
+         batch walks the write list rather than a per-CP index array, so
+         the unrouted path allocates nothing beyond its PVBN batch. *)
+      Array.iteri
+        (fun c bn ->
+          if bn > 0 then begin
+            let pvbns = Array.make bn 0 in
+            let got_p = Write_alloc.allocate_pvbns_into ~cls:c walloc ~dst:pvbns bn in
+            batches := (c, pvbns, got_p) :: !batches;
+            (* [j] counts this class's writes so far *)
+            let rec place writes k j =
+              match writes with
+              | w :: rest when k < got_v ->
+                if class_of k <> c then place rest (k + 1) j
+                else begin
+                  if j < got_p then place_one w vvbns.(k) pvbns.(j)
+                  else
+                    (* reserved virtual block with no physical home
+                       (aggregate out of space): hand it back *)
+                    Flexvol.release_reserved vol ~vvbn:vvbns.(k);
+                  place rest (k + 1) (j + 1)
+                end
+              | _ -> ()
             in
-            buckets.(slot) <- (w, vvbns.(k)) :: buckets.(slot);
-            classify_loop ws (k + 1)
-          | _ -> ()
-        in
-        Telemetry.span_enter Span.Place;
-        classify_loop writes 0;
-        Telemetry.span_exit Span.Place;
-        Array.iteri
-          (fun c bucket ->
-            match List.rev bucket with
-            | [] -> ()
-            | batch ->
-              let bn = List.length batch in
-              let pvbns = Array.make bn 0 in
-              let got_p = Write_alloc.allocate_pvbns_into ~cls:c walloc ~dst:pvbns bn in
-              batches := (c, pvbns, got_p) :: !batches;
-              let rec place_batch batch k =
-                match batch with
-                | (w, vv) :: rest when k < got_p ->
-                  place_one w vv pvbns.(k);
-                  place_batch rest (k + 1)
-                | rest ->
-                  (* reserved virtual blocks with no physical home
-                     (aggregate out of space): hand them back *)
-                  List.iter
-                    (fun ((_, vv) : staged * int) ->
-                      Flexvol.release_reserved vol ~vvbn:vv)
-                    rest
-              in
-              Telemetry.span_enter Span.Place;
-              place_batch batch 0;
-              Telemetry.span_exit Span.Place)
-          buckets
-      | None ->
-        let pvbns = Array.make (max 1 got_v) 0 in
-        let got_p = Write_alloc.allocate_pvbns_into walloc ~dst:pvbns got_v in
-        batches := (0, pvbns, got_p) :: !batches;
-        (* pair as many writes as we could place both numbers for *)
-        let rec place writes k =
-          match writes with
-          | w :: ws when k < got_p ->
-            place_one w vvbns.(k) pvbns.(k);
-            place ws (k + 1)
-          | _ ->
-            (* reserved virtual blocks with no physical home (aggregate out
-               of space): hand them back *)
-            for j = k to got_v - 1 do
-              Flexvol.release_reserved vol ~vvbn:vvbns.(j)
-            done
-        in
-        Telemetry.span_enter Span.Place;
-        place writes 0;
-        Telemetry.span_exit Span.Place);
+            Telemetry.span_enter Span.Place;
+            place writes 0 0;
+            Telemetry.span_exit Span.Place
+          end)
+        per_class;
       if lat_on && !lat_fresh + !lat_over > 0 then
         lat_groups :=
           ( Telemetry.lat_vol_slot ~uid:(Flexvol.uid vol)
@@ -509,26 +509,10 @@ let run ?pool ?temp walloc staged =
   let fault_totals =
     List.fold_left
       (fun acc (d : device_report) ->
-        match d.fault with
-        | None -> acc
-        | Some fs -> (
-          match acc with
-          | None -> Some fs
-          | Some t ->
-            Some
-              {
-                Wafl_fault.Fault.ios = t.Wafl_fault.Fault.ios + fs.Wafl_fault.Fault.ios;
-                injected_transient =
-                  t.Wafl_fault.Fault.injected_transient
-                  + fs.Wafl_fault.Fault.injected_transient;
-                retries = t.Wafl_fault.Fault.retries + fs.Wafl_fault.Fault.retries;
-                retries_ok = t.Wafl_fault.Fault.retries_ok + fs.Wafl_fault.Fault.retries_ok;
-                torn = t.Wafl_fault.Fault.torn + fs.Wafl_fault.Fault.torn;
-                failed = t.Wafl_fault.Fault.failed + fs.Wafl_fault.Fault.failed;
-                spikes = t.Wafl_fault.Fault.spikes + fs.Wafl_fault.Fault.spikes;
-                penalty_us =
-                  t.Wafl_fault.Fault.penalty_us +. fs.Wafl_fault.Fault.penalty_us;
-              }))
+        match (acc, d.fault) with
+        | _, None -> acc
+        | None, fs -> fs
+        | Some t, Some fs -> Some (Wafl_fault.Fault.add_stats t fs))
       None devices
   in
   let report =
@@ -546,8 +530,9 @@ let run ?pool ?temp walloc staged =
       fault_totals;
     }
   in
-  (* 5. Telemetry: a per-CP snapshot plus CP-granularity counters (the hot
-     allocation path above only touched the zero-cost trace emitters). *)
+  (* 5. Telemetry: CP-granularity counters and the per-CP time-series row
+     (the hot allocation path above only touched the zero-cost trace
+     emitters). *)
   (* Assign modeled latencies to this CP's ops first, so the time-series
      row below reads quantiles that include this CP.  device_time_us
      already carries the injected spike penalty; spike_us is passed
@@ -583,53 +568,10 @@ let run ?pool ?temp walloc staged =
   Telemetry.max_gauge "cache.hbps.score_error_max" score_error_max;
   Telemetry.observe "cp.device_us" (int_of_float device_time_us);
   Telemetry.observe "cp.blocks" report.blocks_allocated;
-  Telemetry.record ~label:"cp" (fun () ->
-      let base =
-        [
-          ("ops", Telemetry.Int ops);
-          ("blocks_allocated", Telemetry.Int report.blocks_allocated);
-          ("pvbns_freed", Telemetry.Int report.pvbns_freed);
-          ("vvbns_freed", Telemetry.Int report.vvbns_freed);
-          ("agg_metafile_pages", Telemetry.Int agg_pages);
-          ("vol_metafile_pages", Telemetry.Int vol_pages);
-          ("picks", Telemetry.Int (picks_after - picks_before));
-          ("replenishes", Telemetry.Int (replenishes_after - replenishes_before));
-          ("cache_work", Telemetry.Int report.cache_work);
-          ("hbps_score_error_max", Telemetry.Float score_error_max);
-          ("alloc_candidates", Telemetry.Int report.alloc_candidates);
-          ("device_time_us", Telemetry.Float device_time_us);
-        ]
-      in
-      let base =
-        match report.fault_totals with
-        | None -> base
-        | Some fs ->
-          base
-          @ [
-              ("fault.transients", Telemetry.Int fs.Wafl_fault.Fault.injected_transient);
-              ("fault.retries", Telemetry.Int fs.Wafl_fault.Fault.retries);
-              ("fault.retries_ok", Telemetry.Int fs.Wafl_fault.Fault.retries_ok);
-              ("fault.torn", Telemetry.Int fs.Wafl_fault.Fault.torn);
-              ("fault.failed", Telemetry.Int fs.Wafl_fault.Fault.failed);
-              ("fault.penalty_us", Telemetry.Float fs.Wafl_fault.Fault.penalty_us);
-            ]
-      in
-      let per_range =
-        List.concat_map
-          (fun (d : device_report) ->
-            let p = Printf.sprintf "range%d." d.range_index in
-            [
-              (p ^ "media", Telemetry.String d.media);
-              (p ^ "blocks_written", Telemetry.Int d.blocks_written);
-              (p ^ "device_us", Telemetry.Float d.device_time_us);
-              (p ^ "tetrises", Telemetry.Int d.tetrises);
-            ])
-          report.devices
-      in
-      base @ per_range);
-  (* One time-series row per CP: the paper's time-resolved axes (search
-     cost per block, AA score distribution, HBPS error bound, free-space
-     fragmentation) plus allocator/fault health.  The row thunk — and in
+  (* One time-series row per CP, the only per-CP record: the paper's
+     time-resolved axes (search cost per block, AA score distribution,
+     HBPS error bound, free-space fragmentation), allocator/fault health,
+     and every count of this CP's report.  The row thunk — and in
      particular the whole-bitmap free-run scan and the score sort — only
      runs when telemetry is installed. *)
   Telemetry.sample ~columns:(fun () -> timeseries_columns)
@@ -686,14 +628,23 @@ let run ?pool ?temp walloc staged =
           | _ -> ())
         ranges;
       let ssd_wa = if !ssd_host = 0 then 1.0 else fl !ssd_dev /. fl !ssd_host in
+      (* Per-range device work in four slots; ranges past the fourth fold
+         into the last one, like the streams above. *)
       let reloc_s = Array.make 4 0 in
+      let range_blocks = Array.make 4 0
+      and range_us = Array.make 4 0.0
+      and range_tetrises = Array.make 4 0 in
       List.iter
         (fun (d : device_report) ->
           Array.iteri
             (fun s (st : Ftl.stats) ->
               let s = min s 3 in
               reloc_s.(s) <- reloc_s.(s) + st.Ftl.relocated_pages)
-            d.ssd_stream_stats)
+            d.ssd_stream_stats;
+          let r = min d.range_index 3 in
+          range_blocks.(r) <- range_blocks.(r) + d.blocks_written;
+          range_us.(r) <- range_us.(r) +. d.device_time_us;
+          range_tetrises.(r) <- range_tetrises.(r) + d.tetrises)
         report.devices;
       (* Modeled latency quantiles (all zeros when no recorder is live). *)
       let lat_all_50, lat_all_99, lat_all_999 = Telemetry.lat_quantiles_ms ~vol:(-1) in
@@ -737,6 +688,17 @@ let run ?pool ?temp walloc staged =
         lat_v1_50; lat_v1_99; lat_v1_999;
         lat_v2_50; lat_v2_99; lat_v2_999;
         lat_v3_50; lat_v3_99; lat_v3_999;
+        fl report.vvbns_freed;
+        fl agg_pages;
+        fl vol_pages;
+        fl report.cache_work;
+        fl report.alloc_candidates;
+        fl (ft (fun fs -> fs.Wafl_fault.Fault.retries_ok));
+        (match report.fault_totals with None -> 0.0 | Some fs -> fs.Wafl_fault.Fault.penalty_us);
+        fl range_blocks.(0); range_us.(0); fl range_tetrises.(0);
+        fl range_blocks.(1); range_us.(1); fl range_tetrises.(1);
+        fl range_blocks.(2); range_us.(2); fl range_tetrises.(2);
+        fl range_blocks.(3); range_us.(3); fl range_tetrises.(3);
       |]);
   (* Tick the temperature clock after the CP's placements: lifespans are
      measured in whole CPs between a birth and the overwrite killing it. *)

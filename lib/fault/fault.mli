@@ -89,6 +89,9 @@ type io_stats = {
 val zero_stats : io_stats
 val diff_stats : before:io_stats -> after:io_stats -> io_stats
 
+val add_stats : io_stats -> io_stats -> io_stats
+(** Field-wise sum. *)
+
 type t
 (** A fault plane: the spec plus the per-device handle factory. *)
 

@@ -10,10 +10,10 @@ type curve = {
   points : point list;
 }
 
-let measure_service_time ?model ~cps ~ops_per_cp ~step () =
+let measure_service_time ~cps ~ops_per_cp ~step () =
   assert (cps > 0 && ops_per_cp > 0);
   let reports = List.init cps (fun _ -> step ops_per_cp) in
-  Cost_model.combine (List.map (fun r -> Cost_model.of_report ?model r) reports)
+  Cost_model.combine (List.map Cost_model.of_report reports)
 
 let default_loads capacity =
   List.map (fun frac -> frac *. capacity)

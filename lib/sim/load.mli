@@ -24,8 +24,7 @@ type curve = {
 }
 
 val measure_service_time :
-  ?model:Cost_model.t -> cps:int -> ops_per_cp:int ->
-  step:(int -> Wafl_core.Cp.report) -> unit -> Cost_model.op_costs
+  cps:int -> ops_per_cp:int -> step:(int -> Wafl_core.Cp.report) -> unit -> Cost_model.op_costs
 (** Run [cps] consistency points of [ops_per_cp] staged operations each via
     [step] (which stages and runs one CP, returning its report) and combine
     into steady-state per-op costs. *)

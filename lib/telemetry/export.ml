@@ -19,17 +19,19 @@ let json_string s = "\"" ^ escape_json s ^ "\""
 let json_float f =
   if Float.is_finite f then Printf.sprintf "%.6g" f else "null"
 
-let json_value = function
-  | Telemetry.Int i -> string_of_int i
-  | Telemetry.Float f -> json_float f
-  | Telemetry.String s -> json_string s
-
 let comma_sep buf items render =
   List.iteri
     (fun i x ->
       if i > 0 then Buffer.add_string buf ",";
       render x)
     items
+
+(* Non-empty buckets of a histogram, ascending: (lo, hi, count), with
+   [lo]/[hi] the bucket's inclusive value range. *)
+let buckets h =
+  let acc = ref [] in
+  Hdrhist.iter_nonempty h (fun ~lo ~hi ~count -> acc := (lo, hi, count) :: !acc);
+  List.rev !acc
 
 let metrics_json tel =
   let reg = Telemetry.registry tel in
@@ -55,23 +57,14 @@ let metrics_json tel =
   add (if gauges = [] then "},\n" else "\n  },\n");
   add "  \"histograms\": {";
   comma_sep buf histograms (fun (n, h) ->
+      let h = Registry.merged h in
       add
         (Printf.sprintf "\n    %s: { \"observations\": %d, \"sum\": %d, \"buckets\": ["
-           (json_string n) (Registry.observations h) (Registry.sum h));
-      comma_sep buf (Registry.nonempty_buckets h) (fun (i, c) ->
-          add
-            (Printf.sprintf "{ \"ge\": %d, \"count\": %d }" (Registry.bucket_lower_bound i) c));
+           (json_string n) (Hdrhist.count h) (Hdrhist.sum h));
+      comma_sep buf (buckets h) (fun (lo, _, c) ->
+          add (Printf.sprintf "{ \"ge\": %d, \"count\": %d }" lo c));
       add "] }");
   add (if histograms = [] then "},\n" else "\n  },\n");
-  add "  \"snapshots\": [";
-  comma_sep buf (Telemetry.snapshots tel) (fun (s : Telemetry.snapshot) ->
-      add (Printf.sprintf "\n    { \"seq\": %d, \"label\": %s" s.Telemetry.seq
-             (json_string s.Telemetry.label));
-      List.iter
-        (fun (k, v) -> add (Printf.sprintf ", %s: %s" (json_string k) (json_value v)))
-        s.Telemetry.fields;
-      add " }");
-  add (if Telemetry.snapshots tel = [] then "],\n" else "\n  ],\n");
   let sp = Telemetry.spans tel in
   add "  \"spans\": {";
   comma_sep buf
@@ -119,14 +112,13 @@ let metrics_csv tel =
       | Registry.Counter c -> row "counter" name (string_of_int (Registry.count c))
       | Registry.Gauge g -> row "gauge" name (Printf.sprintf "%.6g" (Registry.value g))
       | Registry.Histogram h ->
-        row "histogram" (name ^ ".observations") (string_of_int (Registry.observations h));
-        row "histogram" (name ^ ".sum") (string_of_int (Registry.sum h));
+        let h = Registry.merged h in
+        row "histogram" (name ^ ".observations") (string_of_int (Hdrhist.count h));
+        row "histogram" (name ^ ".sum") (string_of_int (Hdrhist.sum h));
         List.iter
-          (fun (i, c) ->
-            row "histogram"
-              (Printf.sprintf "%s.ge_%d" name (Registry.bucket_lower_bound i))
-              (string_of_int c))
-          (Registry.nonempty_buckets h));
+          (fun (lo, _, c) ->
+            row "histogram" (Printf.sprintf "%s.ge_%d" name lo) (string_of_int c))
+          (buckets h));
   let sp = Telemetry.spans tel in
   List.iter
     (fun k ->
@@ -312,6 +304,28 @@ let prom_float f =
   if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
   else Printf.sprintf "%.17g" f
 
+(* One Prometheus histogram's series: cumulative [_bucket] counts at each
+   non-empty bucket's inclusive upper bound ([le]), then [_sum] and
+   [_count].  Values divide by [scale] (1 for raw registry values, 1e6 to
+   render ns as ms). *)
+let prom_histogram add ~name ~labels ~scale h =
+  let braces = function [] -> "" | l -> "{" ^ String.concat "," l ^ "}" in
+  let value v = prom_float (float_of_int v /. scale) in
+  let cum = ref 0 in
+  List.iter
+    (fun (_, hi, c) ->
+      cum := !cum + c;
+      add
+        (Printf.sprintf "%s_bucket%s %d\n" name
+           (braces (labels @ [ Printf.sprintf "le=\"%s\"" (value hi) ]))
+           !cum))
+    (buckets h);
+  add
+    (Printf.sprintf "%s_bucket%s %d\n" name (braces (labels @ [ "le=\"+Inf\"" ]))
+       (Hdrhist.count h));
+  add (Printf.sprintf "%s_sum%s %s\n" name (braces labels) (value (Hdrhist.sum h)));
+  add (Printf.sprintf "%s_count%s %d\n" name (braces labels) (Hdrhist.count h))
+
 let metrics_prom tel =
   let buf = Buffer.create 8192 in
   let add = Buffer.add_string buf in
@@ -325,18 +339,8 @@ let metrics_prom tel =
           (Printf.sprintf "# TYPE %s gauge\n%s %s\n" n n
              (prom_float (Registry.value g)))
       | Registry.Histogram h ->
-        (* Power-of-two buckets; le is each bucket's inclusive upper bound. *)
         add (Printf.sprintf "# TYPE %s histogram\n" n);
-        let cum = ref 0 in
-        List.iter
-          (fun (i, c) ->
-            cum := !cum + c;
-            let le = if i = 0 then 0 else (1 lsl i) - 1 in
-            add (Printf.sprintf "%s_bucket{le=\"%d\"} %d\n" n le !cum))
-          (Registry.nonempty_buckets h);
-        add (Printf.sprintf "%s_bucket{le=\"+Inf\"} %d\n" n (Registry.observations h));
-        add (Printf.sprintf "%s_sum %d\n" n (Registry.sum h));
-        add (Printf.sprintf "%s_count %d\n" n (Registry.observations h)));
+        prom_histogram add ~name:n ~labels:[] ~scale:1.0 (Registry.merged h));
   let sp = Telemetry.spans tel in
   List.iter
     (fun k ->
@@ -361,26 +365,13 @@ let metrics_prom tel =
         List.iter
           (fun (slot, vname) ->
             let h = Latency.merged ~op ~vol:slot lat in
-            if Hdrhist.count h > 0 then begin
-              let labels =
-                Printf.sprintf "op=\"%s\",vol=\"%s\"" (Latency.op_name op)
-                  (prom_label_value vname)
-              in
-              let cum = ref 0 in
-              Hdrhist.iter_nonempty h (fun ~lo:_ ~hi ~count ->
-                  cum := !cum + count;
-                  add
-                    (Printf.sprintf "%s_bucket{%s,le=\"%s\"} %d\n" name labels
-                       (prom_float (float_of_int hi /. 1e6))
-                       !cum));
-              add
-                (Printf.sprintf "%s_bucket{%s,le=\"+Inf\"} %d\n" name labels
-                   (Hdrhist.count h));
-              add
-                (Printf.sprintf "%s_sum{%s} %s\n" name labels
-                   (prom_float (float_of_int (Hdrhist.sum h) /. 1e6)));
-              add (Printf.sprintf "%s_count{%s} %d\n" name labels (Hdrhist.count h))
-            end)
+            if Hdrhist.count h > 0 then
+              prom_histogram add ~name ~scale:1e6 h
+                ~labels:
+                  [
+                    Printf.sprintf "op=\"%s\"" (Latency.op_name op);
+                    Printf.sprintf "vol=\"%s\"" (prom_label_value vname);
+                  ])
           vols)
       Latency.all_ops;
     (* Headline quantiles as gauges, overall and per volume. *)

@@ -1,6 +1,6 @@
 (** JSON and CSV renderings of a telemetry instance.  Self-contained (no
     external JSON dependency); output is deterministic: metrics in
-    registration order, snapshots and events oldest first. *)
+    registration order, events oldest first. *)
 
 val metrics_json : Telemetry.t -> string
 (** One JSON object:
@@ -9,14 +9,15 @@ val metrics_json : Telemetry.t -> string
       "gauges":     { name: float, ... },
       "histograms": { name: { "observations": int, "sum": int,
                               "buckets": [ { "ge": int, "count": int } ] } },
-      "snapshots":  [ { "seq": int, "label": str, <field>: <value>, ... } ],
       "spans":      { name: { "count": int, "total_ns": int, "open": int,
                               "parent": str|null } },
       "timeseries": { "columns": [str], "appended": int, "retained": int },
       "trace":      { "emitted": int, "retained": int } }
     v}
-    Only span kinds that fired appear; the time-series rows themselves are
-    exported separately by {!timeseries_json}/{!timeseries_csv}. *)
+    Histogram buckets are the non-empty {!Hdrhist} buckets, each keyed by
+    its smallest value ([ge]).  Only span kinds that fired appear; the
+    per-CP time-series rows are exported separately by
+    {!timeseries_json}/{!timeseries_csv}. *)
 
 val metrics_csv : Telemetry.t -> string
 (** [kind,name,value] rows; histograms flatten to one row per populated
@@ -26,8 +27,9 @@ val metrics_csv : Telemetry.t -> string
 val metrics_prom : Telemetry.t -> string
 (** Prometheus text exposition (format 0.0.4).  Dotted registry names
     become [wafl_]-prefixed underscore names with [# TYPE] lines;
-    registry histograms render cumulative [_bucket{le=...}]/[_sum]/
-    [_count] series; fired spans render [_count]/[_total_ns] counters.
+    registry histograms and the latency histograms share one renderer:
+    cumulative [_bucket{le=...}] counts at each non-empty {!Hdrhist}
+    bucket's inclusive upper bound, then [_sum]/[_count]; fired spans render [_count]/[_total_ns] counters.
     When the instance carries a latency recorder, per-(op, volume)
     latency histograms export as [wafl_op_latency_ms_bucket{op=,vol=,le=}]
     (le in milliseconds) plus headline p50/p99/p999 quantile gauges. *)

@@ -13,8 +13,8 @@ type model = {
   alloc_candidate_us : float;
 }
 
-(* Must stay field-for-field equal to Sim.Cost_model.default; a test pins
-   this against Cost_model.latency_model Cost_model.default. *)
+(* The one cost table: Sim.Cost_model.t re-exports this type and
+   Sim.Cost_model.default is this value. *)
 let default_model =
   {
     cpu_base_us_per_op = 100.0;
@@ -27,8 +27,7 @@ let default_model =
 (* One recording domain's private histograms: a cell per (op, vol slot)
    plus an overall one, created lazily so idle cells cost nothing.  Only
    the owning domain writes; readers merge possibly-stale counts and
-   become exact after the domain's next synchronising edge (same contract
-   as Registry histograms). *)
+   become exact after the domain's next synchronising edge ({!Shards}). *)
 type shard = {
   cells : Hdrhist.t option array; (* n_ops * max_vols *)
   mutable overall : Hdrhist.t option;
@@ -54,11 +53,9 @@ type exemplar = {
 }
 
 type t = {
-  model : model;
   slo : Slo.t option;
   max_vols : int;
-  lock : Mutex.t; (* guards shard-table growth only *)
-  shards : shard option array Atomic.t; (* indexed by domain id *)
+  shards : shard Shards.t;
   (* Serial CP-boundary state below. *)
   vol_ids : int array; (* uid per slot; -1 = empty *)
   vol_names : string array;
@@ -74,16 +71,14 @@ type t = {
   mutable last_reports : Slo.report list;
 }
 
-let create ?(model = default_model) ?slo ?(max_vols = 16) ?(max_exemplars = 32)
-    () =
+let create ?slo ?(max_vols = 16) ?(max_exemplars = 32) () =
   if max_vols < 1 then invalid_arg "Latency.create: max_vols < 1";
   if max_exemplars < 1 then invalid_arg "Latency.create: max_exemplars < 1";
   {
-    model;
     slo;
     max_vols;
-    lock = Mutex.create ();
-    shards = Atomic.make (Array.make 8 None);
+    shards =
+      Shards.create (fun () -> { cells = Array.make (n_ops * max_vols) None; overall = None });
     vol_ids = Array.make max_vols (-1);
     vol_names = Array.make max_vols "";
     vols_used = 0;
@@ -103,7 +98,6 @@ let create ?(model = default_model) ?slo ?(max_vols = 16) ?(max_exemplars = 32)
     last_reports = [];
   }
 
-let model t = t.model
 let slo t = t.slo
 
 let vol_slot t ~uid ~name =
@@ -130,43 +124,6 @@ let vols t =
 
 (* --- recording ------------------------------------------------------- *)
 
-let new_shard t =
-  { cells = Array.make (n_ops * t.max_vols) None; overall = None }
-
-(* Slow path: grow the shard table (Registry idiom — publish through the
-   Atomic, grow under the lock, copy shard references). *)
-let rec shard_for t =
-  let id = (Domain.self () :> int) in
-  let shards = Atomic.get t.shards in
-  if id < Array.length shards then begin
-    match shards.(id) with
-    | Some s -> s
-    | None ->
-      let s = new_shard t in
-      Mutex.lock t.lock;
-      let shards = Atomic.get t.shards in
-      (match shards.(id) with
-      | Some _ -> ()
-      | None -> shards.(id) <- Some s);
-      Mutex.unlock t.lock;
-      shard_for t
-  end
-  else begin
-    Mutex.lock t.lock;
-    let shards = Atomic.get t.shards in
-    (if id >= Array.length shards then begin
-       let n = ref (max 8 (Array.length shards)) in
-       while !n <= id do
-         n := !n * 2
-       done;
-       Atomic.set t.shards
-         (Array.init !n (fun i ->
-              if i < Array.length shards then shards.(i) else None))
-     end);
-    Mutex.unlock t.lock;
-    shard_for t
-  end
-
 let cell_hist s idx =
   match s.cells.(idx) with
   | Some h -> h
@@ -185,7 +142,7 @@ let overall_hist s =
 
 let record t ~op ~vol ns =
   let vol = if vol < 0 then 0 else if vol >= t.max_vols then t.max_vols - 1 else vol in
-  let s = shard_for t in
+  let s = Shards.get t.shards in
   Hdrhist.record (cell_hist s ((op_index op * t.max_vols) + vol)) ns;
   Hdrhist.record (overall_hist s) ns
 
@@ -193,32 +150,22 @@ let record t ~op ~vol ns =
 
 let merged ?op ?vol t =
   let dst = Hdrhist.create () in
-  let shards = Atomic.get t.shards in
-  Array.iter
-    (function
-      | None -> ()
-      | Some s -> (
-        match (op, vol) with
-        | None, None -> (
-          match s.overall with
-          | Some h -> Hdrhist.merge_into ~dst h
-          | None -> ())
-        | _ ->
-          List.iter
-            (fun o ->
-              match op with
-              | Some o' when o' <> o -> ()
-              | _ ->
-                for v = 0 to t.max_vols - 1 do
-                  match vol with
-                  | Some v' when v' <> v -> ()
-                  | _ -> (
-                    match s.cells.((op_index o * t.max_vols) + v) with
-                    | Some h -> Hdrhist.merge_into ~dst h
-                    | None -> ())
-                done)
-            all_ops))
-    shards;
+  let add = function Some h -> Hdrhist.merge_into ~dst h | None -> () in
+  Shards.iter t.shards (fun s ->
+      match (op, vol) with
+      | None, None -> add s.overall
+      | _ ->
+        List.iter
+          (fun o ->
+            match op with
+            | Some o' when o' <> o -> ()
+            | _ ->
+              for v = 0 to t.max_vols - 1 do
+                match vol with
+                | Some v' when v' <> v -> ()
+                | _ -> add s.cells.((op_index o * t.max_vols) + v)
+              done)
+          all_ops);
   dst
 
 let quantiles_ms ?op ?vol t =
@@ -310,7 +257,7 @@ let cp_record t ~groups ~pages ~cache_work ~candidates ~device_us ~spike_us
     ~pick_ns ~harvest_ns =
   let n = List.fold_left (fun a (_, f, o) -> a + f + o) 0 groups in
   if n > 0 then begin
-    let m = t.model in
+    let m = default_model in
     let fn = float_of_int n in
     let cache_us = float_of_int cache_work *. m.cache_work_unit_us in
     let scan_us = float_of_int candidates *. m.alloc_candidate_us in
@@ -343,7 +290,7 @@ let cp_record t ~groups ~pages ~cache_work ~candidates ~device_us ~spike_us
     let thr_ns =
       match t.slo with Some s -> Slo.thresholds_ns s | None -> [||]
     in
-    let shard = shard_for t in
+    let shard = Shards.get t.shards in
     let pos = ref 0 in
     List.iter
       (fun (vol, fresh, over) ->

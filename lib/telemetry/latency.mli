@@ -7,18 +7,18 @@
 
     where [cp_duration] is the modeled service time of the CP that
     committed it (CPU + metafile pages + AA scan + device flush, including
-    any injected device latency spikes — the same cost constants as
-    [Sim.Cost_model], mirrored in {!model} to keep the dependency arrow
-    pointing sim -> telemetry), and [wait_in_batch] spreads the ops across
-    the arrival window (the previous CP's duration, since ops accumulate
-    while the previous CP drains): op [i] of [n] waits
+    any injected device latency spikes — priced by {!default_model}, the
+    one cost table, which [Sim.Cost_model] re-exports), and
+    [wait_in_batch] spreads the ops across the arrival window (the
+    previous CP's duration, since ops accumulate while the previous CP
+    drains): op [i] of [n] waits
     [(n-1-i)/n * arrival].  The clock is deterministic and integer-only on
     the per-op path.
 
     Samples land in log-linear {!Hdrhist}s keyed by (op kind x volume
-    slot), sharded per domain exactly like [Registry] histograms: record
-    is lock-free and allocation-free in steady state, the read side merges
-    shards.
+    slot), sharded per domain through the same {!Shards} table as
+    [Registry] histograms: record is lock-free and allocation-free in
+    steady state, the read side merges shards.
 
     Tail exemplars: when an op's modeled latency clears the current p999
     (tracked across CPs), a preallocated slot captures (latency, op kind,
@@ -34,29 +34,30 @@ type op = Write | Overwrite
 val op_name : op -> string
 val all_ops : op list
 
-(** Cost constants of the modeled clock; field-for-field the subset of
-    [Sim.Cost_model.t] the clock uses.  [Sim.Cost_model.latency_model]
-    converts, and a test pins [default_model] to the sim's defaults. *)
+(** Cost constants of the modeled clock.  This is the one cost table:
+    [Sim.Cost_model.t] re-exports the type and [Sim.Cost_model.default] is
+    {!default_model}, so the per-op clock and the analytic sweeps price
+    the same work identically by construction. *)
 type model = {
-  cpu_base_us_per_op : float;
-  metafile_page_cpu_us : float;
-  metafile_page_write_us : float;
-  cache_work_unit_us : float;
+  cpu_base_us_per_op : float;      (** fixed WAFL code-path cost per op *)
+  metafile_page_cpu_us : float;    (** CPU to update + checksum one page *)
+  metafile_page_write_us : float;  (** device time to write one page *)
+  cache_work_unit_us : float;      (** one abstract cache-maintenance unit *)
   alloc_candidate_us : float;
+      (** allocation-path CPU per candidate block examined while gathering
+          an AA's free VBNs; emptier AAs yield more blocks per candidate
+          (the §4.1.2 CPU-per-op mechanism) *)
 }
 
 val default_model : model
 
 type t
 
-val create :
-  ?model:model -> ?slo:Slo.t -> ?max_vols:int -> ?max_exemplars:int ->
-  unit -> t
+val create : ?slo:Slo.t -> ?max_vols:int -> ?max_exemplars:int -> unit -> t
 (** [max_vols] (default 16) bounds the per-volume keying; volumes beyond
     the limit share the last slot.  [max_exemplars] (default 32) bounds
     the exemplar ring. *)
 
-val model : t -> model
 val slo : t -> Slo.t option
 
 val vol_slot : t -> uid:int -> name:string -> int

@@ -1,4 +1,4 @@
-(** Metrics registry: named counters, gauges and log₂-bucket histograms.
+(** Metrics registry: named counters, gauges and histograms.
 
     Handles are cheap records meant to be resolved once (by name) and
     then updated directly on whatever path owns them.  Per-CP paths may
@@ -9,10 +9,11 @@
     Domain safety: counters and gauges are [Atomic]-backed — concurrent
     [incr]/[add]/[set_max] from pool domains lose no updates — and
     registration of a new name is serialised by an internal lock.
-    Histograms shard per observing domain and merge the shards on read,
-    so concurrent [observe] from pool domains loses no updates either;
-    a domain's observations are guaranteed visible to a reader once a
-    synchronising edge (e.g. pool task completion) separates them. *)
+    Histograms shard per observing domain ({!Shards}) and merge the
+    shards on read, so concurrent [observe] from pool domains loses no
+    updates either; a domain's observations are guaranteed visible to a
+    reader once a synchronising edge (e.g. pool task completion)
+    separates them. *)
 
 type t
 
@@ -45,22 +46,15 @@ val set_max : gauge -> float -> unit
 
 val value : gauge -> float
 
-(* --- histograms: fixed log₂ buckets over non-negative ints ---
-
-   Bucket 0 counts observations <= 0; bucket [i >= 1] counts observations
-   [v] with [2^(i-1) <= v < 2^i].  The bucket count is fixed (63); the
-   read accessors below merge the per-domain shards. *)
+(* --- histograms: {!Hdrhist} per observing domain --- *)
 
 val observe : histogram -> int -> unit
-val observations : histogram -> int
-val sum : histogram -> int
-val bucket_count : histogram -> int
-val bucket : histogram -> int -> int
-val bucket_lower_bound : int -> int
-(** Smallest value landing in bucket [i] (0 for buckets 0 and 1). *)
+(** Record one non-negative int (negatives clamp to 0) into the calling
+    domain's shard. *)
 
-val nonempty_buckets : histogram -> (int * int) list
-(** [(bucket index, count)] for every populated bucket, ascending. *)
+val merged : histogram -> Hdrhist.t
+(** A fresh {!Hdrhist.t} merging every shard: exact count, sum, min and
+    max; bucket-quantized quantiles (relative error <= 1/32). *)
 
 (* --- enumeration (registration order) --- *)
 

@@ -1,15 +1,9 @@
-type value = Int of int | Float of float | String of string
-
-type snapshot = { seq : int; label : string; fields : (string * value) list }
-
 type t = {
   registry : Registry.t;
   tracer : Tracer.t;
   spans : Span.t;
   series : Timeseries.t;
   latency : Latency.t option;
-  mutable snapshots_rev : snapshot list;
-  mutable snapshot_seq : int;
   mutable sample_hook : (unit -> unit) option;
 }
 
@@ -21,8 +15,6 @@ let create ?trace_capacity ?series_capacity ?clock ?(tracing = false) ?latency
     spans = Span.create ?clock ();
     series = Timeseries.create ?capacity:series_capacity ();
     latency;
-    snapshots_rev = [];
-    snapshot_seq = 0;
     sample_hook = None;
   }
 
@@ -31,21 +23,13 @@ let tracer t = t.tracer
 let spans t = t.spans
 let series t = t.series
 let latency t = t.latency
-let snapshots t = List.rev t.snapshots_rev
-
-let add_snapshot t ~label fields =
-  t.snapshot_seq <- t.snapshot_seq + 1;
-  t.snapshots_rev <- { seq = t.snapshot_seq; label; fields } :: t.snapshots_rev
-
 let on_sample t hook = t.sample_hook <- hook
 
 let reset t =
   Registry.clear t.registry;
   Tracer.clear t.tracer;
   Span.clear t.spans;
-  Timeseries.clear t.series;
-  t.snapshots_rev <- [];
-  t.snapshot_seq <- 0
+  Timeseries.clear t.series
 
 (* --- process-wide installation --- *)
 
@@ -78,9 +62,6 @@ let observe name v =
   match !state with
   | None -> ()
   | Some t -> Registry.observe (Registry.histogram t.registry name) v
-
-let record ~label fields =
-  match !state with None -> () | Some t -> add_snapshot t ~label (fields ())
 
 (* --- spans (branch-only no-ops when uninstalled) --- *)
 

@@ -1,7 +1,7 @@
 (** Telemetry subsystem front-end: one {!Registry.t} of metrics, one
     {!Tracer.t} of structured events, one {!Span.t} phase-span recorder,
-    one {!Timeseries.t} of per-CP rows, and a list of labelled snapshots
-    (one per consistency point, produced by [Cp.run]).
+    and one {!Timeseries.t} ring of per-CP rows (one per consistency
+    point, appended by [Cp.run] — the only per-CP record).
 
     Instrumented code does not thread a handle around; it goes through the
     process-wide {e installed} instance.  When nothing is installed every
@@ -13,8 +13,8 @@
     Domain safety: counter, gauge and span updates are atomic, histogram
     observations shard per domain, and trace pushes are serialised, so
     the name-based helpers below may be called from parallel scan domains
-    (see {!Wafl_par.Par}) without losing updates.  Snapshots and time
-    series remain single-domain: they are emitted only from the serial
+    (see {!Wafl_par.Par}) without losing updates.  The time series
+    remains single-domain: rows are appended only from the serial
     sections of [Cp.run].
 
     Typical use:
@@ -26,14 +26,6 @@
       print_string (Export.metrics_json tel)
     ]} *)
 
-type value = Int of int | Float of float | String of string
-
-type snapshot = {
-  seq : int;  (** 1-based snapshot index, in emission order *)
-  label : string;
-  fields : (string * value) list;
-}
-
 type t
 
 val create :
@@ -43,7 +35,7 @@ val create :
     time-series rows (both raise [Invalid_argument] when not positive);
     [tracing] (the tracer's enabled flag) to [false]; [clock] (the span
     recorder's nanosecond clock, injectable for tests) to the wall clock.
-    Metrics, spans, series and snapshots are always on for an installed
+    Metrics, spans and the series are always on for an installed
     instance; event tracing and request-latency accounting ([latency],
     off by default) have separate switches. *)
 
@@ -55,10 +47,6 @@ val series : t -> Timeseries.t
 val latency : t -> Latency.t option
 (** The request-latency recorder, when this instance carries one. *)
 
-val snapshots : t -> snapshot list
-(** Oldest first. *)
-
-val add_snapshot : t -> label:string -> (string * value) list -> unit
 val reset : t -> unit
 
 (* --- process-wide installation --- *)
@@ -80,10 +68,6 @@ val add : string -> int -> unit
 val set_gauge : string -> float -> unit
 val max_gauge : string -> float -> unit
 val observe : string -> int -> unit
-
-val record : label:string -> (unit -> (string * value) list) -> unit
-(** Append a snapshot; the field thunk only runs when an instance is
-    installed, so building the field list costs nothing otherwise. *)
 
 (* --- phase spans (branch-only no-ops when uninstalled) --- *)
 

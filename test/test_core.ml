@@ -467,6 +467,57 @@ let test_cp_no_double_allocation_over_many_cps () =
     (Aggregate.total_blocks agg - !mapped)
     (Aggregate.free_blocks agg)
 
+(* A CP that stages more writes than the aggregate has free blocks places
+   what fits, in write order, and hands every other write's reserved VVBN
+   back — on the plain path and on the four-class routed one, where the
+   overflow lands in whichever classes allocate last. *)
+let test_cp_places_past_full_aggregate () =
+  List.iter
+    (fun classes ->
+      let rg =
+        {
+          Config.media = Config.Hdd Wafl_device.Profile.default_hdd;
+          data_devices = 4;
+          parity_devices = 1;
+          device_blocks = 1024;
+          aa_stripes = Some 64;
+        }
+      in
+      let config =
+        Config.make ~raid_groups:[ rg ]
+          ~vols:[ Config.default_vol ~name:"vol0" ~blocks:16384 ]
+          ~streams:{ Config.default_streams with Config.temp_classes = classes }
+          ~seed:11 ()
+      in
+      let fs = Fs.create config in
+      let vol = Fs.vol fs "vol0" in
+      let agg = Fs.aggregate fs in
+      let label fmt = Printf.sprintf ("%d classes: " ^^ fmt) classes in
+      for offset = 0 to 2999 do
+        Fs.stage_write fs ~vol ~file:1 ~offset
+      done;
+      ignore (Fs.run_cp fs);
+      (* overwrite everything (so routing sees real lifespans) and add
+         1000 new offsets: 4000 writes against ~1100 free blocks *)
+      for offset = 0 to 3999 do
+        Fs.stage_write fs ~vol ~file:1 ~offset
+      done;
+      let free_before = Aggregate.free_blocks agg in
+      let r = Fs.run_cp fs in
+      check_int (label "ops") 4000 r.Cp.ops;
+      check_int (label "placed every free block") free_before r.Cp.blocks_allocated;
+      check_bool (label "ran out") true (r.Cp.blocks_allocated < r.Cp.ops);
+      check_int
+        (label "reserved VVBNs of unplaced writes handed back")
+        (Flexvol.blocks vol - Flexvol.file_blocks vol ~file:1)
+        (Flexvol.free_blocks vol);
+      check_int (label "Iron clean") 0
+        (List.length
+           (List.filter
+              (function Iron.Orphan_blocks _ -> false | _ -> true)
+              (Iron.check fs))))
+    [ 1; 4 ]
+
 let test_cp_raid_accounting () =
   let fs = Fs.create (small_config ()) in
   let vol = Fs.vol fs "vol0" in
@@ -1332,6 +1383,8 @@ let () =
           Alcotest.test_case "no double allocation" `Quick
             test_cp_no_double_allocation_over_many_cps;
           Alcotest.test_case "raid accounting" `Quick test_cp_raid_accounting;
+          Alcotest.test_case "places past a full aggregate" `Quick
+            test_cp_places_past_full_aggregate;
           Alcotest.test_case "colocation best vs random" `Slow test_cp_colocation_best_vs_random;
         ] );
       ( "mount",

@@ -117,10 +117,6 @@ let test_latency_multi_domain_merge () =
 
 (* --- the modeled clock --- *)
 
-let test_model_pinned_to_sim () =
-  let m = Wafl_sim.Cost_model.latency_model Wafl_sim.Cost_model.default in
-  check_bool "telemetry default model = sim cost model" true (m = Latency.default_model)
-
 let test_cp_record_latency_bounds () =
   let lat = Latency.create () in
   let v = Latency.vol_slot lat ~uid:1 ~name:"v" in
@@ -254,10 +250,7 @@ let test_uninstalled_hooks_inert () =
   check_bool "quantiles zero" true (Telemetry.lat_quantiles_ms ~vol:(-1) = (0., 0., 0.))
 
 let e2e_tel () =
-  let lat =
-    Latency.create ~model:(Wafl_sim.Cost_model.latency_model Wafl_sim.Cost_model.default)
-      ()
-  in
+  let lat = Latency.create () in
   let tel = Telemetry.create ~latency:lat () in
   let rg =
     {
@@ -343,7 +336,6 @@ let () =
       ( "latency",
         [
           Alcotest.test_case "multi-domain merge" `Quick test_latency_multi_domain_merge;
-          Alcotest.test_case "model pinned to sim" `Quick test_model_pinned_to_sim;
           Alcotest.test_case "cp_record bounds" `Quick test_cp_record_latency_bounds;
           Alcotest.test_case "per-vol keying" `Quick test_cp_record_per_vol_keying;
           Alcotest.test_case "exemplar device blame" `Quick test_exemplar_blames_device_flush;

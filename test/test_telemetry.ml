@@ -7,6 +7,11 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
 
+let contains ~needle haystack =
+  let n = String.length needle and h = String.length haystack in
+  let rec at i = i + n <= h && (String.sub haystack i n = needle || at (i + 1)) in
+  n = 0 || at 0
+
 (* --- Registry --- *)
 
 let test_counter () =
@@ -44,21 +49,34 @@ let test_kind_clash () =
 let test_histogram_buckets () =
   let r = Registry.create () in
   let h = Registry.histogram r "lat" in
-  (* bucket 0: v <= 0; bucket i >= 1: 2^(i-1) <= v < 2^i *)
-  List.iter (Registry.observe h) [ 0; 1; 1; 2; 3; 4; 7; 8; 1024 ];
-  check_int "observations" 9 (Registry.observations h);
-  check_int "sum" (0 + 1 + 1 + 2 + 3 + 4 + 7 + 8 + 1024) (Registry.sum h);
-  check_int "bucket 0 (<=0)" 1 (Registry.bucket h 0);
-  check_int "bucket 1 ([1,2))" 2 (Registry.bucket h 1);
-  check_int "bucket 2 ([2,4))" 2 (Registry.bucket h 2);
-  check_int "bucket 3 ([4,8))" 2 (Registry.bucket h 3);
-  check_int "bucket 4 ([8,16))" 1 (Registry.bucket h 4);
-  check_int "bucket 11 ([1024,2048))" 1 (Registry.bucket h 11);
-  check_int "lower bound 4" 8 (Registry.bucket_lower_bound 4);
-  Alcotest.(check (list (pair int int)))
-    "nonempty buckets"
-    [ (0, 1); (1, 2); (2, 2); (3, 2); (4, 1); (11, 1) ]
-    (Registry.nonempty_buckets h)
+  List.iter (Registry.observe h) [ -5; 0; 1; 1; 2; 63; 64; 65; 1024; 1_000_000 ];
+  let m = Registry.merged h in
+  check_int "observations" 10 (Hdrhist.count m);
+  check_int "sum (negatives clamp to 0)"
+    (0 + 0 + 1 + 1 + 2 + 63 + 64 + 65 + 1024 + 1_000_000)
+    (Hdrhist.sum m);
+  check_int "min" 0 (Hdrhist.min_value m);
+  check_int "max" 1_000_000 (Hdrhist.max_value m);
+  (* the Hdrhist layout: unit-width buckets below 64, then 32 linear
+     sub-buckets per power of two *)
+  let buckets = ref [] in
+  Hdrhist.iter_nonempty m (fun ~lo ~hi ~count -> buckets := (lo, hi, count) :: !buckets);
+  let buckets = List.rev !buckets in
+  Alcotest.(check (list (triple int int int)))
+    "exact buckets below 128"
+    [ (0, 0, 2); (1, 1, 2); (2, 2, 1); (63, 63, 1); (64, 65, 2) ]
+    (List.filter (fun (lo, _, _) -> lo < 128) buckets);
+  check_bool "1024 has its own bucket" true (List.mem (1024, 1055, 1) buckets);
+  check_int "bucket counts sum to observations" 10
+    (List.fold_left (fun acc (_, _, c) -> acc + c) 0 buckets);
+  let tel = Telemetry.create () in
+  Telemetry.with_installed tel (fun () -> Telemetry.observe "lat" 65);
+  check_bool "json bucket keyed by its smallest value" true
+    (contains ~needle:"{ \"ge\": 64, \"count\": 1 }" (Export.metrics_json tel));
+  check_bool "csv bucket keyed by its smallest value" true
+    (contains ~needle:"histogram,lat.ge_64,1" (Export.metrics_csv tel));
+  check_bool "prom bucket at its inclusive upper bound" true
+    (contains ~needle:"wafl_lat_bucket{le=\"65\"} 1" (Export.metrics_prom tel))
 
 let test_registry_enumeration () =
   let r = Registry.create () in
@@ -115,10 +133,14 @@ let test_install_helpers () =
   Telemetry.incr "c";
   Telemetry.observe "h" 5;
   let ran = ref false in
-  Telemetry.record ~label:"x" (fun () ->
+  Telemetry.sample
+    ~columns:(fun () ->
       ran := true;
-      []);
-  check_bool "record thunk skipped when uninstalled" false !ran;
+      [ "k" ])
+    (fun () ->
+      ran := true;
+      [| 1.0 |]);
+  check_bool "sample thunks skipped when uninstalled" false !ran;
   let tel = Telemetry.create ~tracing:true () in
   Telemetry.with_installed tel (fun () ->
       check_bool "active" true (Telemetry.is_active ());
@@ -128,7 +150,7 @@ let test_install_helpers () =
       Telemetry.observe "h" 9;
       Telemetry.trace_cp_begin ();
       Telemetry.trace_aa_pick ~space:3 ~aa:7 ~score:100;
-      Telemetry.record ~label:"cp" (fun () -> [ ("k", Telemetry.Int 1) ]));
+      Telemetry.sample ~columns:(fun () -> [ "k" ]) (fun () -> [| 1.0 |]));
   check_bool "uninstalled after" false (Telemetry.is_active ());
   (match Registry.find (Telemetry.registry tel) "c" with
   | Some (Registry.Counter c) -> check_int "counter through helpers" 3 (Registry.count c)
@@ -138,9 +160,13 @@ let test_install_helpers () =
        (List.filter
           (function Tracer.Aa_pick _ -> true | _ -> false)
           (Tracer.to_list (Telemetry.tracer tel))));
-  match Telemetry.snapshots tel with
-  | [ { Telemetry.seq = 1; label = "cp"; fields = [ ("k", Telemetry.Int 1) ] } ] -> ()
-  | _ -> Alcotest.fail "snapshot mismatch"
+  (match Registry.find (Telemetry.registry tel) "h" with
+  | Some (Registry.Histogram h) ->
+    check_int "histogram through helpers" 1 (Hdrhist.count (Registry.merged h))
+  | _ -> Alcotest.fail "histogram not registered");
+  match Timeseries.rows (Telemetry.series tel) with
+  | [ [| 1.0 |] ] -> ()
+  | _ -> Alcotest.fail "time-series row mismatch"
 
 (* --- exporters --- *)
 
@@ -153,16 +179,8 @@ let sample_telemetry () =
       Telemetry.observe "cp.blocks" 3;
       Telemetry.trace_cp_begin ();
       Telemetry.trace_aa_pick ~space:0 ~aa:5 ~score:900;
-      Telemetry.trace_cp_end ~ops:12 ~blocks:12 ~freed:0 ~pages:2 ~device_us:4.5;
-      Telemetry.record ~label:"cp" (fun () ->
-          [ ("ops", Telemetry.Int 12); ("err", Telemetry.Float 0.5);
-            ("media", Telemetry.String "hdd") ]));
+      Telemetry.trace_cp_end ~ops:12 ~blocks:12 ~freed:0 ~pages:2 ~device_us:4.5);
   tel
-
-let contains ~needle haystack =
-  let n = String.length needle and h = String.length haystack in
-  let rec at i = i + n <= h && (String.sub haystack i n = needle || at (i + 1)) in
-  n = 0 || at 0
 
 let test_metrics_json () =
   let json = Export.metrics_json (sample_telemetry ()) in
@@ -176,10 +194,10 @@ let test_metrics_json () =
       "\"cp.blocks\"";
       "\"observations\": 2";
       "\"sum\": 103";
-      "\"label\": \"cp\"";
-      "\"media\": \"hdd\"";
+      "{ \"ge\": 3, \"count\": 1 },{ \"ge\": 100, \"count\": 1 }";
       "\"emitted\": 3";
     ];
+  check_bool "no snapshots section" false (contains ~needle:"snapshots" json);
   (* crude structural validity: brackets and braces balance, no trailing comma *)
   let depth = ref 0 in
   String.iter
@@ -375,6 +393,93 @@ let test_span_tree_on_cps () =
       check_bool (label "cp children disjoint") true (children <= Span.total_ns sp Span.Cp))
     [ 1; 4 ]
 
+(* The time-series row is the only per-CP record, so it must carry every
+   count of the CP's report.  Five RAID groups exercise the fold of
+   ranges past the fourth into the range3_* cells, a fault profile makes
+   the retry/penalty cells nonzero, and both placement paths run: plain
+   and temperature-routed over four classes. *)
+let test_timeseries_row_matches_report () =
+  let open Wafl_core in
+  let rg =
+    {
+      Config.media = Config.Hdd Wafl_device.Profile.default_hdd;
+      data_devices = 4;
+      parity_devices = 1;
+      device_blocks = 4096;
+      aa_stripes = Some 256;
+    }
+  in
+  let config classes =
+    Config.make ~raid_groups:[ rg; rg; rg; rg; rg ]
+      ~vols:[ Config.default_vol ~name:"vol0" ~blocks:65536 ]
+      ~streams:{ Config.default_streams with Config.temp_classes = classes }
+      ~seed:5 ()
+  in
+  let spec =
+    match Wafl_fault.Fault.spec_of_string "seed=3,transient=0.02,spike=0.01:500" with
+    | Ok spec -> spec
+    | Error msg -> Alcotest.fail msg
+  in
+  List.iter
+    (fun classes ->
+      let tel = Telemetry.create () in
+      Wafl_fault.Fault.install_default spec;
+      let reports =
+        Fun.protect ~finally:Wafl_fault.Fault.uninstall_default (fun () ->
+            Telemetry.with_installed tel (fun () ->
+                let fs = Fs.create (config classes) in
+                let vol = Fs.vol fs "vol0" in
+                List.init 6 (fun cp ->
+                    for offset = 0 to 1499 do
+                      Fs.stage_write fs ~vol ~file:1 ~offset:((offset * (cp + 1)) mod 2500)
+                    done;
+                    Fs.run_cp fs)))
+      in
+      let ts = Telemetry.series tel in
+      check_int "one row per CP" (List.length reports) (Timeseries.length ts);
+      let fl = float_of_int in
+      List.iteri
+        (fun i (r : Cp.report) ->
+          let row = Timeseries.get ts i in
+          let eq name expected =
+            match Timeseries.column_index ts name with
+            | None -> Alcotest.fail ("missing column " ^ name)
+            | Some c ->
+              Alcotest.(check (float 0.0))
+                (Printf.sprintf "%d classes, cp %d: %s" classes i name)
+                expected row.(c)
+          in
+          let fault f = match r.Cp.fault_totals with None -> 0.0 | Some fs -> f fs in
+          eq "vvbns_freed" (fl r.Cp.vvbns_freed);
+          eq "agg_metafile_pages" (fl r.Cp.agg_metafile_pages);
+          eq "vol_metafile_pages" (fl r.Cp.vol_metafile_pages);
+          eq "cache_work" (fl r.Cp.cache_work);
+          eq "alloc_candidates" (fl r.Cp.alloc_candidates);
+          eq "fault_retries_ok" (fault (fun fs -> fl fs.Wafl_fault.Fault.retries_ok));
+          eq "fault_penalty_us" (fault (fun fs -> fs.Wafl_fault.Fault.penalty_us));
+          for slot = 0 to 3 do
+            let ds =
+              List.filter (fun (d : Cp.device_report) -> min d.Cp.range_index 3 = slot) r.Cp.devices
+            in
+            let sum f = List.fold_left (fun acc d -> acc +. f d) 0.0 ds in
+            eq (Printf.sprintf "range%d_blocks_written" slot)
+              (sum (fun d -> fl d.Cp.blocks_written));
+            eq (Printf.sprintf "range%d_device_us" slot) (sum (fun d -> d.Cp.device_time_us));
+            eq (Printf.sprintf "range%d_tetrises" slot) (sum (fun d -> fl d.Cp.tetrises))
+          done)
+        reports;
+      (* the comparisons above saw real values, not zeros on both sides *)
+      let some f = List.exists f reports in
+      check_bool "faults drawn" true
+        (some (fun r ->
+             match r.Cp.fault_totals with
+             | Some fs -> fs.Wafl_fault.Fault.penalty_us > 0.0
+             | None -> false));
+      check_bool "five ranges reported" true
+        (List.for_all (fun r -> List.length r.Cp.devices = 5) reports);
+      check_bool "vvbns freed" true (some (fun r -> r.Cp.vvbns_freed > 0)))
+    [ 1; 4 ]
+
 (* --- time series --- *)
 
 let test_timeseries_ring () =
@@ -429,29 +534,39 @@ let test_histogram_multi_domain () =
   let r = Registry.create () in
   let h = Registry.histogram r "par.hammer" in
   let jobs = 4 and per_chunk = 25_000 in
+  let value c i = 1 + (((c * per_chunk) + i) * 7919 mod 100_000) in
   Wafl_par.Par.with_pool ~jobs (fun pool ->
       Wafl_par.Par.run pool ~chunks:jobs ~f:(fun c ->
           for i = 1 to per_chunk do
-            Registry.observe h (((c * per_chunk) + i) mod 37)
+            Registry.observe h (value c i)
           done));
   (* pool task completion is the synchronising edge; totals must be exact *)
-  check_int "no lost observations" (jobs * per_chunk) (Registry.observations h);
-  let expected_sum =
-    let s = ref 0 in
-    for c = 0 to jobs - 1 do
-      for i = 1 to per_chunk do
-        s := !s + (((c * per_chunk) + i) mod 37)
-      done
-    done;
-    !s
-  in
-  check_int "no lost sum" expected_sum (Registry.sum h);
-  let bucket_total =
-    List.fold_left (fun acc (_, n) -> acc + n) 0 (Registry.nonempty_buckets h)
-  in
-  check_int "buckets merge to the same total" (jobs * per_chunk) bucket_total;
+  let m = Registry.merged h in
+  check_int "no lost observations" (jobs * per_chunk) (Hdrhist.count m);
+  let all = Array.make (jobs * per_chunk) 0 in
+  for c = 0 to jobs - 1 do
+    for i = 1 to per_chunk do
+      all.((c * per_chunk) + i - 1) <- value c i
+    done
+  done;
+  check_int "no lost sum" (Array.fold_left ( + ) 0 all) (Hdrhist.sum m);
+  let buckets = ref 0 in
+  Hdrhist.iter_nonempty m (fun ~lo:_ ~hi:_ ~count -> buckets := !buckets + count);
+  check_int "buckets merge to the same total" (jobs * per_chunk) !buckets;
+  (* merged quantiles are within one bucket (1/32) of the exact order
+     statistic over every domain's observations *)
+  Array.sort compare all;
+  List.iter
+    (fun q ->
+      let rank = int_of_float (ceil (q *. float_of_int (Array.length all))) in
+      let exact = all.(rank - 1) and est = Hdrhist.quantile m q in
+      check_bool
+        (Printf.sprintf "p%g within 1/32 (exact %d, merged %d)" (q *. 100.) exact est)
+        true
+        (est >= exact && float_of_int (est - exact) <= float_of_int exact /. 32.))
+    [ 0.5; 0.9; 0.99 ];
   Registry.clear r;
-  check_int "clear zeroes every shard" 0 (Registry.observations h)
+  check_int "clear zeroes every shard" 0 (Hdrhist.count (Registry.merged h))
 
 (* --- span + time-series export round-trips --- *)
 
@@ -591,6 +706,8 @@ let () =
           Alcotest.test_case "ring + schema" `Quick test_timeseries_ring;
           Alcotest.test_case "json round-trip" `Quick test_timeseries_json_roundtrip;
           Alcotest.test_case "csv round-trip" `Quick test_timeseries_csv_roundtrip;
+          Alcotest.test_case "row carries the CP report" `Quick
+            test_timeseries_row_matches_report;
         ] );
       ( "sharded histograms",
         [
