@@ -587,11 +587,15 @@ let crash_matrix_cmd =
   in
   let cps_arg =
     Arg.(
-      value & opt int 3
+      value
+      & opt (int_in "--cps" ~lo:0 ()) 3
       & info [ "cps" ] ~docv:"N" ~doc:"Warmup CPs committed before the crashed one.")
   in
   let ops_arg =
-    Arg.(value & opt int 400 & info [ "ops" ] ~docv:"N" ~doc:"Staged writes per CP.")
+    Arg.(
+      value
+      & opt (int_in "--ops" ~lo:1 ()) 400
+      & info [ "ops" ] ~docv:"N" ~doc:"Staged writes per CP.")
   in
   let no_cleaner_arg =
     Arg.(

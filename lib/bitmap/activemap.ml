@@ -30,11 +30,7 @@ let allocate t vbn =
 (* Trusted hot-path variant: a free VBN cannot have a pending free
    (queue_free only accepts allocated VBNs), so when the caller
    guarantees the VBN is free — harvest rings do — both checks above are
-   redundant. *)
-let[@inline] allocate_harvested t vbn = Metafile.allocate_harvested t.metafile vbn
-
-(* {!allocate_harvested} recording the dirtied page in the caller's
-   [touched] set instead of the shared dirty state — see
+   redundant.  The dirtied page goes to the caller's [touched] set — see
    {!Metafile.allocate_harvested_touched}. *)
 let[@inline] allocate_harvested_touched t vbn ~touched =
   Metafile.allocate_harvested_touched t.metafile vbn ~touched

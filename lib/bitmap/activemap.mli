@@ -30,17 +30,14 @@ val allocate : t -> int -> unit
     have a pending free (a freshly freed block is not reusable until the
     freeing CP commits). *)
 
-val allocate_harvested : t -> int -> unit
+val allocate_harvested_touched : t -> int -> touched:Bytes.t -> unit
 (** Trusted {!allocate} for the write-allocation hot path: the caller
     guarantees the VBN is free, which (since only allocated VBNs can be
-    queued) also rules out a pending free; both checks are skipped. *)
-
-val allocate_harvested_touched : t -> int -> touched:Bytes.t -> unit
-(** {!allocate_harvested} that records the dirtied metafile page as a
-    nonzero byte in [touched] (length [Metafile.pages (metafile t)])
-    instead of updating the shared dirty state, so concurrent domains
-    allocating into disjoint bitmap bytes never race; merge afterwards
-    with {!Metafile.mark_touched_dirty}. *)
+    queued) also rules out a pending free; both checks are skipped.  The
+    dirtied metafile page is recorded as a nonzero byte in [touched]
+    (length [Metafile.pages (metafile t)]) instead of the shared dirty
+    state, so concurrent domains allocating into disjoint bitmap bytes
+    never race; merge afterwards with {!Metafile.mark_touched_dirty}. *)
 
 val queue_free : t -> int -> unit
 (** Queue a VBN to be freed at the next commit.  It must currently be

@@ -72,16 +72,11 @@ let allocate t vbn =
 (* Trusted hot-path variant: the caller guarantees [vbn] is currently
    free (harvest rings only hold free blocks, revalidated on epoch
    change), so the already-allocated re-check of {!allocate} is skipped.
-   [Bitmap.set] still bounds-checks the index. *)
-let[@inline] allocate_harvested t vbn =
-  Bitmap.set t.map vbn;
-  mark_dirty t (page_index t vbn)
-
-(* {!allocate_harvested} for the multi-domain allocation front-end:
-   instead of touching the shared dirty bitmap (a cross-domain race), the
-   dirtied page is recorded as one byte in the caller's [touched] page
-   set — the allocation-side mirror of {!free_batch_into}.  Callers fold
-   the set into the dirty state serially with {!mark_touched_dirty}. *)
+   [Bitmap.set] still bounds-checks the index.  Instead of touching the
+   shared dirty bitmap (a cross-domain race), the dirtied page is
+   recorded as one byte in the caller's [touched] page set — the
+   allocation-side mirror of {!free_batch_into}.  Callers fold the set
+   into the dirty state serially with {!mark_touched_dirty}. *)
 let[@inline] allocate_harvested_touched t vbn ~touched =
   Bitmap.set t.map vbn;
   Bytes.unsafe_set touched (page_index t vbn) '\001'

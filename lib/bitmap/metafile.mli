@@ -43,18 +43,15 @@ val is_allocated : t -> int -> bool
 val allocate : t -> int -> unit
 (** Mark a VBN allocated; it must currently be free.  Dirties its page. *)
 
-val allocate_harvested : t -> int -> unit
+val allocate_harvested_touched : t -> int -> touched:Bytes.t -> unit
 (** Trusted {!allocate} for the write-allocation hot path: the caller
     guarantees the VBN is currently free (harvest rings only hold free
-    blocks), so the already-allocated check is skipped.  Still
-    bounds-checked and still dirties the page. *)
-
-val allocate_harvested_touched : t -> int -> touched:Bytes.t -> unit
-(** {!allocate_harvested} that records the dirtied page as a nonzero
-    byte in [touched] (length {!pages}) instead of updating the shared
-    dirty state — the allocation-side mirror of {!free_batch_into}.
-    Lets concurrent domains allocate into disjoint bitmap bytes without
-    racing on the dirty bitmap; merge with {!mark_touched_dirty}. *)
+    blocks), so the already-allocated check is skipped (the index is
+    still bounds-checked).  The dirtied page is recorded as a nonzero
+    byte in [touched] (length {!pages}) instead of the shared dirty state
+    — the allocation-side mirror of {!free_batch_into} — so concurrent
+    domains allocate into disjoint bitmap bytes without racing on the
+    dirty bitmap; merge with {!mark_touched_dirty}. *)
 
 val free : t -> int -> unit
 (** Mark a VBN free; it must currently be allocated.  Dirties its page. *)

@@ -240,15 +240,6 @@ let allocate t ~pvbn =
   let r = range_of_pvbn t pvbn in
   Score.note_alloc r.delta ~vbn:(to_local r pvbn)
 
-(* Hot-path allocate for a PVBN popped from a harvest ring: the cursor
-   already knows the range and the AA (rings hold one AA's blocks), and
-   ring entries are free by construction (revalidation filters stale
-   ones), so the range scan, the VBN->AA divisions, and the
-   already-allocated re-check all drop out. *)
-let[@inline] allocate_harvested t range ~aa ~pvbn =
-  Activemap.allocate_harvested t.activemap pvbn;
-  Score.note_alloc_aa range.delta ~aa
-
 let queue_free t ~pvbn = Activemap.queue_free t.activemap pvbn
 
 let commit_frees ?pool t =

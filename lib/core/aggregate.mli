@@ -76,12 +76,6 @@ val allocate : t -> pvbn:int -> unit
 (** Mark a PVBN allocated; records the score decrement in its range's
     delta. *)
 
-val allocate_harvested : t -> range -> aa:int -> pvbn:int -> unit
-(** Trusted {!allocate} for the write allocator's harvest rings: the
-    caller names the PVBN's range and AA and guarantees the PVBN is
-    free, skipping the range scan, the VBN->AA divisions, and the
-    already-allocated re-check on the per-block hot path. *)
-
 val queue_free : t -> pvbn:int -> unit
 (** Queue a PVBN free for the next CP. *)
 
@@ -139,10 +133,10 @@ val harvest_free_of_aa : t -> range -> int -> dst:int array -> words:int ref -> 
 val aa_score_now : t -> range -> int -> int
 (** Recompute an AA's score from the bitmap (bypasses the cached array). *)
 
-(** {2 Atomic AA claims (multi-writer allocation front-end)}
+(** {2 Atomic AA claims (multi-writer allocation)}
 
-    An AA picked by any writer — the serial cursor or a parallel
-    allocation shard — is {e claimed} with one compare-and-set on its
+    An AA picked by any writer — any domain's or class's allocation
+    cursor — is {e claimed} with one compare-and-set on its
     owner slot, and stays owned by that writer until the CP boundary
     releases every claim.  One-owner-per-AA is the invariant that keeps
     the harvest kernels single-writer (two domains never consume, and so

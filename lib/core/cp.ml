@@ -444,11 +444,8 @@ let run ?pool ?temp walloc staged =
             !lat_over )
           :: !lat_groups)
     by_vol;
-  (* 2. Commit delayed frees (aggregate + volumes) and flush metafiles.
-        Concurrent frees queued by allocation-pool domains drain first, in
-        shard order, into the aggregate's validated queue. *)
+  (* 2. Commit delayed frees (aggregate + volumes) and flush metafiles. *)
   Telemetry.span_enter Span.Activemap_commit;
-  ignore (Write_alloc.drain_queued_frees walloc);
   Wafl_fault.Crash.point "cp.agg_free_commit";
   let agg_pages, freed_pvbns = Aggregate.commit_frees ?pool aggregate in
   let vol_pages =

@@ -115,6 +115,10 @@ let with_pass_dir k f =
 
 let run ?config ?(with_cleaner = true) ?(background_rebuild = true) ?(lazy_rebuild = false)
     ?(verify_mount = false) ~seed ~warmup_cps ~ops_per_cp () =
+  (* A matrix over an empty workload would recover "clean" while testing
+     nothing. *)
+  if ops_per_cp < 1 then invalid_arg "Crash_matrix.run: ops_per_cp must be >= 1";
+  if warmup_cps < 0 then invalid_arg "Crash_matrix.run: warmup_cps must be >= 0";
   let config = match config with Some c -> c | None -> default_config ~seed in
   (* Pass 1: enumerate the dynamic crash-point sequence the workload
      actually reaches — programmatic, never a hand-maintained list. *)

@@ -64,4 +64,5 @@ val run :
     If a domain pool is installed
     ({!Wafl_par.Par.install}), the remounts, repairs and replay CPs all
     shard over it — the recorded point sequence and the verdicts are
-    identical at any domain count. *)
+    identical at any domain count.
+    @raise Invalid_argument if [ops_per_cp < 1] or [warmup_cps < 0]. *)

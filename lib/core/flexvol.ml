@@ -110,12 +110,6 @@ let reserve_vvbn t ~vvbn =
   Activemap.allocate t.activemap vvbn;
   Score.note_alloc t.delta ~vbn:vvbn
 
-(* Trusted hot-path variant mirroring [Aggregate.allocate_harvested]:
-   the harvest cursor knows the AA and guarantees the VVBN is free. *)
-let reserve_harvested t ~aa ~vvbn =
-  Activemap.allocate_harvested t.activemap vvbn;
-  Score.note_alloc_aa t.delta ~aa
-
 let attach_reserved t ~vvbn ~pvbn =
   if not (Activemap.is_allocated t.activemap vvbn) then
     invalid_arg "Flexvol.attach_reserved: VVBN not reserved";

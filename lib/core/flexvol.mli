@@ -39,11 +39,6 @@ val reserve_vvbn : t -> vvbn:int -> unit
     before its container entry exists.  Prevents the allocator from
     offering the same VVBN twice across AA re-picks. *)
 
-val reserve_harvested : t -> aa:int -> vvbn:int -> unit
-(** Trusted {!reserve_vvbn} for the write allocator's harvest rings: the
-    caller names the VVBN's AA and guarantees it is free, skipping the
-    VVBN->AA division and the already-allocated re-check. *)
-
 val attach_reserved : t -> vvbn:int -> pvbn:int -> unit
 (** Install the container entry for a previously reserved VVBN. *)
 

@@ -5,20 +5,27 @@ open Wafl_aacache
 open Wafl_telemetry
 module Par = Wafl_par.Par
 
-(* Per-range (or per-volume) allocation cursor: a preallocated ring holding
-   the free VBNs of the AA currently being filled (harvested word-at-a-time,
-   consumed front to back), plus the AAs taken since the last CP.  The ring
-   is sized to a full AA once, at cursor creation, so the steady-state
-   pick -> harvest -> allocate loop allocates no per-block heap words.
+(* What a cursor allocates from.  A volume carries its own touched-page set
+   (volume allocation only ever runs on one domain); range cursors record
+   dirtied aggregate pages in their domain's [sink]. *)
+type space = Range of Aggregate.range | Vol of Flexvol.t * Bytes.t
+
+(* Per-space allocation cursor: a preallocated ring holding the free VBNs of
+   the AA currently being filled (harvested word-at-a-time, consumed front
+   to back), plus the AAs taken since the last CP.  The ring is sized to a
+   full AA once, at cursor creation, so the steady-state pick -> harvest ->
+   allocate loop allocates no per-block heap words.
 
    Taken AAs live in a flat id array (an AA is taken at most once per CP —
    the claim word filters re-picks), and every take claims the AA in
-   [owners]: range cursors alias the range's claim array so the parallel
-   front-end and the serial path see each other's ownership; volume cursors
-   get a private array (volumes have no concurrent writers, the claim only
-   carries the taken-at-most-once invariant). *)
+   [owners] as [owner]: range cursors alias the range's claim array, so
+   every domain's and every class's cursors see each other's ownership;
+   volume cursors get a private array (the claim only carries the
+   taken-at-most-once invariant there). *)
 type cursor = {
-  mutable ring : int array;       (* harvested free VBNs; [head, len) live *)
+  space : space;
+  owner : int;                    (* claim id: the cursor row's domain *)
+  ring : int array;               (* harvested free VBNs; [head, len) live *)
   mutable head : int;
   mutable len : int;
   mutable ring_aa : int;          (* the AA the live entries belong to *)
@@ -30,10 +37,21 @@ type cursor = {
   mutable scan_pos : int;         (* First_fit scan position *)
 }
 
+(* Per-domain accumulators: everything a range consume or a harvest writes
+   that another domain could write too.  Domain 0's sink serves every
+   single-domain call; [merge_sink] folds a sink back into the shared
+   structures, serially. *)
+type sink = {
+  deltas : Score.delta array;     (* score changes, per physical range *)
+  touched : Bytes.t;              (* aggregate metafile pages dirtied *)
+  mutable dirty : bool;           (* a range consume ran since the last merge *)
+  words : int ref;                (* bitmap words read by harvests *)
+  mutable harvested : int;        (* VBNs harvested into rings *)
+  mutable consume_minor : int;    (* minor-heap words inside consume segments *)
+}
+
 type par_slot_stats = {
   ps_allocated : int;
-  ps_steals : int;
-  ps_high_water : int;
   ps_minor_words : int;
 }
 
@@ -41,16 +59,18 @@ type t = {
   aggregate : Aggregate.t;
   rng : Rng.t;
   classes : int;                          (* temperature routing slots (>= 1) *)
-  cursors : cursor array array;           (* [class][range]; rows share owners *)
+  mutable cursors : cursor array array array;  (* [domain][class][range] *)
+  mutable sinks : sink array;             (* one per domain *)
   mutable vols : (Flexvol.t * cursor) list;
   mutable vol_slots : cursor option array;  (* indexed by Flexvol.uid *)
   mutable epoch : int;                    (* bumped at every cp_finish *)
   words : int ref;                        (* cumulative 32-bit bitmap words read *)
   mutable harvested : int;                (* cumulative VBNs harvested into rings *)
-  elig : int array;                       (* scratch: eligible range indices *)
-  weight : int array;                     (* scratch: weight per eligible entry *)
-  mutable alloc_shards : Alloc_shard.t array;  (* per-domain front-end shards *)
-  pick_mutex : Mutex.t;                   (* serialises cache picks across domains *)
+  elig : int array;                       (* planned eligible range indices *)
+  weight : int array;                     (* planned weight per eligible entry *)
+  mutable n_elig : int;
+  mutable total_weight : int;
+  pick_mutex : Mutex.t;                   (* serialises picks across domains *)
   mutable used_par : bool;                (* a parallel window ran this epoch *)
   mutable par_capable : int;              (* -1 unknown, 0 no, 1 yes (cached) *)
   mutable last_par : par_slot_stats array;
@@ -62,8 +82,10 @@ type t = {
   mutable candidates_scanned : int;
 }
 
-let new_cursor ~capacity ~owners =
+let new_cursor space ~owner ~capacity ~owners =
   {
+    space;
+    owner;
     ring = Array.make (max 1 capacity) 0;
     head = 0;
     len = 0;
@@ -85,8 +107,33 @@ let push_taken cursor aa =
   cursor.taken_list.(cursor.n_taken) <- aa;
   cursor.n_taken <- cursor.n_taken + 1
 
+(* Domain [d]'s cursor rows, one per class.  Every row aliases the range's
+   claim array, so no two rows — classes or domains — ever check out the
+   same AA within a CP. *)
+let domain_rows aggregate ~classes d =
+  Array.init classes (fun _ ->
+      Array.map
+        (fun (r : Aggregate.range) ->
+          new_cursor (Range r) ~owner:d
+            ~capacity:(Topology.full_aa_capacity r.Aggregate.topology)
+            ~owners:r.Aggregate.owners)
+        (Aggregate.ranges aggregate))
+
+let new_sink aggregate =
+  {
+    deltas =
+      Array.map
+        (fun (r : Aggregate.range) -> Score.create_delta r.Aggregate.topology)
+        (Aggregate.ranges aggregate);
+    touched = Bytes.make (Metafile.pages (Aggregate.metafile aggregate)) '\000';
+    dirty = false;
+    words = ref 0;
+    harvested = 0;
+    consume_minor = 0;
+  }
+
 let create aggregate ~rng =
-  let ranges = Aggregate.ranges aggregate in
+  let nr = Array.length (Aggregate.ranges aggregate) in
   let classes =
     (Aggregate.config aggregate).Config.streams.Config.temp_classes
   in
@@ -94,25 +141,17 @@ let create aggregate ~rng =
     aggregate;
     rng;
     classes;
-    (* Every class row aliases the range's claim array, so two classes can
-       never check out the same AA within a CP — segregation falls out of
-       the same owner words the multi-writer front-end uses. *)
-    cursors =
-      Array.init classes (fun _ ->
-          Array.map
-            (fun (r : Aggregate.range) ->
-              new_cursor
-                ~capacity:(Topology.full_aa_capacity r.Aggregate.topology)
-                ~owners:r.Aggregate.owners)
-            ranges);
+    cursors = [| domain_rows aggregate ~classes 0 |];
+    sinks = [| new_sink aggregate |];
     vols = [];
     vol_slots = Array.make 8 None;
     epoch = 0;
     words = ref 0;
     harvested = 0;
-    elig = Array.make (Array.length ranges) 0;
-    weight = Array.make (Array.length ranges) 0;
-    alloc_shards = [||];
+    elig = Array.make nr 0;
+    weight = Array.make nr 0;
+    n_elig = 0;
+    total_weight = 0;
     pick_mutex = Mutex.create ();
     used_par = false;
     par_capable = -1;
@@ -139,6 +178,8 @@ let rec vol_cursor t vol =
       let topology = Flexvol.topology vol in
       let c =
         new_cursor
+          (Vol (vol, Bytes.make (Metafile.pages (Flexvol.metafile vol)) '\000'))
+          ~owner:0
           ~capacity:(Topology.full_aa_capacity topology)
           ~owners:
             (Array.init (Topology.aa_count topology) (fun _ ->
@@ -159,24 +200,24 @@ let rec vol_cursor t vol =
 
 let register_vol t vol = ignore (vol_cursor t vol)
 
-(* Pick the next AA id for a space with [n_aas] AAs under [policy].
-   [free_of aa] recomputes the AA's current free count (used by the
-   cacheless policies).  [space] labels the pick in the telemetry trace
-   (range index, or -1 for a FlexVol); a cache-backed pick is traced by the
-   cache itself.  [owner] is the claim id a Best_aa take is registered
-   under (serial cursors claim as 0, shard c as c+1).  Returns
-   (aa, score-at-take) or None. *)
-let pick_aa t cursor ~policy ~space ~cache ~n_aas ~free_of ~owner =
+let iter_range_cursors t f = Array.iter (Array.iter (Array.iter f)) t.cursors
+
+(* Pick the next AA for a cursor under its space's policy.  [free_of aa]
+   recomputes the AA's current free count (used by the cacheless
+   policies).  [space] labels the pick in the telemetry trace (range index,
+   or -1 for a FlexVol); a cache-backed pick is traced by the cache itself.
+   Returns (aa, score-at-take) or None. *)
+let pick_aa t cursor ~policy ~space ~cache ~n_aas ~free_of =
   match (policy : Config.allocation_policy) with
   | Config.Best_aa -> (
     match cache with
     | None -> None
     | Some c ->
       (* Skip over empty-scored AAs; bounded so a drained cache terminates.
-         The claim-aware take skips AAs another cursor or domain owns, and
-         the CAS right after makes the ownership authoritative — a lost
-         race (counted, structurally impossible while picks are serialised
-         by the pick mutex) just retries. *)
+         The claim-aware take skips AAs another cursor owns, and the CAS
+         right after makes the ownership authoritative — a lost race
+         (counted, structurally impossible while picks are serialised by
+         the pick mutex) just retries. *)
       let keep aa = Atomic.get cursor.owners.(aa) = Aggregate.no_owner in
       let rec try_take attempts =
         if attempts = 0 then None
@@ -184,7 +225,7 @@ let pick_aa t cursor ~policy ~space ~cache ~n_aas ~free_of ~owner =
           match Cache.take_best_filtered c ~keep with
           | None -> None
           | Some (aa, score) ->
-            if Atomic.compare_and_set cursor.owners.(aa) Aggregate.no_owner owner
+            if Atomic.compare_and_set cursor.owners.(aa) Aggregate.no_owner cursor.owner
             then begin
               push_taken cursor aa;
               if score > 0 then Some (aa, score) else try_take (attempts - 1)
@@ -227,30 +268,21 @@ let pick_aa t cursor ~policy ~space ~cache ~n_aas ~free_of ~owner =
     in
     scan 0 cursor.scan_pos
 
-let note_phys_take t score =
-  t.phys_taken <- t.phys_taken + 1;
-  t.phys_score_sum <- t.phys_score_sum + score
-
-let note_virt_take t score =
-  t.virt_taken <- t.virt_taken + 1;
-  t.virt_score_sum <- t.virt_score_sum + score
-
-let note_harvest t ~words0 ~count =
-  t.harvested <- t.harvested + count;
-  Telemetry.add "write_alloc.words_scanned" (!(t.words) - words0);
-  Telemetry.add "write_alloc.vbns_harvested" count;
-  Telemetry.max_gauge "write_alloc.ring_high_water" (float_of_int count)
-
 (* Drop ring entries that predate the last CP boundary and have since been
    allocated: CP-external writers (mount, aging, repair) may touch the
    bitmap between CPs.  Within one epoch the ring needs no re-check —
    entries are free at harvest, mid-CP frees only queue (the bitmap bit
    stays set until commit), and every allocation drains through this
-   cursor — which is what lets the consume path skip the per-block
-   [is_allocated] probe the list-based queue paid. *)
-let revalidate t cursor mf =
+   cursor — which is what lets the consume loop skip a per-block
+   [is_allocated] probe. *)
+let revalidate t cursor =
   if cursor.ring_epoch <> t.epoch then begin
     cursor.ring_epoch <- t.epoch;
+    let mf =
+      match cursor.space with
+      | Range _ -> Aggregate.metafile t.aggregate
+      | Vol (v, _) -> Flexvol.metafile v
+    in
     let rec compact i k =
       if i >= cursor.len then k
       else begin
@@ -268,97 +300,171 @@ let revalidate t cursor mf =
   end
 
 (* Does the AA (its range-local extents) overlap a permanent bad range of
-   the range's fault device?  Only called with a fault handle attached. *)
-let aa_overlaps_fault (range : Aggregate.range) dev aa =
-  List.exists
-    (fun e ->
-      Wafl_fault.Fault.range_faulty dev ~start:(Wafl_block.Extent.start e)
-        ~len:(Wafl_block.Extent.len e))
-    (Topology.extents_of_aa range.Aggregate.topology aa)
+   the range's fault device? *)
+let faulty cursor aa =
+  match cursor.space with
+  | Range ({ Aggregate.fault = Some dev; _ } as r) ->
+    List.exists
+      (fun e ->
+        Wafl_fault.Fault.range_faulty dev ~start:(Wafl_block.Extent.start e)
+          ~len:(Wafl_block.Extent.len e))
+      (Topology.extents_of_aa r.Aggregate.topology aa)
+  | Range _ | Vol _ -> false
 
-(* Refill a range cursor's ring from the next AA; false when no AA with
-   free blocks is available.  A pick can harvest zero blocks even with a
-   positive cached score: a ring that survived the last CP may have already
-   consumed the AA's blocks that the CP re-filed it with.  Such an AA is
-   simply spent — retry with the next pick.
+(* [take_aa_locked]'s answer for an AA it quarantined. *)
+let quarantined_aa = -2
 
-   With a fault device attached, an AA overlapping a permanent bad range is
-   quarantined instead of harvested: it stays claimed and taken (so a
-   re-pick this CP is impossible) but the quarantine set keeps cp_finish
-   from ever re-filing it, and the pick retries.  Quarantine retries are
-   bounded so the cacheless policies (which pick by free count and cannot
-   learn) give up instead of spinning on an all-bad range. *)
-let rec refill_range_guarded t range cursor qbudget =
-  (* Lazy-mount first touch: a stale range materializes its exact scores
-     and cache here, before the pick trusts either. *)
-  Rebuild.touch_range t.aggregate range;
-  let policy = (Aggregate.config t.aggregate).Config.aggregate_policy in
+(* Take and claim the cursor's next AA, under the pick mutex; -1 when no AA
+   is available.  An AA overlapping a permanent bad range is quarantined
+   instead ([quarantined_aa], when [can_quarantine]; else -1): it stays
+   claimed and taken (so a re-pick this CP is impossible) but the
+   quarantine set keeps cp_finish from ever re-filing it. *)
+let take_aa_locked t cursor ~can_quarantine =
+  let policy, space, cache, topology, free_of =
+    match cursor.space with
+    | Range r ->
+      ( (Aggregate.config t.aggregate).Config.aggregate_policy,
+        r.Aggregate.index,
+        r.Aggregate.cache,
+        r.Aggregate.topology,
+        fun aa -> Aggregate.aa_score_now t.aggregate r aa )
+    | Vol (v, _) ->
+      ( (Flexvol.spec v).Config.policy,
+        -1,
+        Flexvol.cache v,
+        Flexvol.topology v,
+        fun aa -> Score.score_of_aa (Flexvol.topology v) (Flexvol.metafile v) aa )
+  in
   Telemetry.span_enter Span.Pick;
   let picked =
-    pick_aa t cursor ~policy ~space:range.Aggregate.index ~cache:range.Aggregate.cache
-      ~n_aas:(Topology.aa_count range.Aggregate.topology)
-      ~free_of:(fun aa -> Aggregate.aa_score_now t.aggregate range aa)
-      ~owner:0
+    pick_aa t cursor ~policy ~space ~cache ~n_aas:(Topology.aa_count topology) ~free_of
   in
   Telemetry.span_exit Span.Pick;
   match picked with
-  | None -> false
+  | None -> -1
+  | Some (aa, _) when faulty cursor aa ->
+    if can_quarantine then begin
+      Hashtbl.replace cursor.quarantined aa ();
+      Telemetry.incr "fault.aa_quarantined";
+      quarantined_aa
+    end
+    else -1
   | Some (aa, score) ->
-    let bad =
-      match range.Aggregate.fault with
-      | Some dev -> aa_overlaps_fault range dev aa
-      | None -> false
+    (match cursor.space with
+    | Range _ ->
+      t.phys_taken <- t.phys_taken + 1;
+      t.phys_score_sum <- t.phys_score_sum + score
+    | Vol _ ->
+      t.virt_taken <- t.virt_taken + 1;
+      t.virt_score_sum <- t.virt_score_sum + score);
+    t.candidates_scanned <- t.candidates_scanned + Topology.aa_capacity topology aa;
+    aa
+
+(* The one refill: take an AA under the pick mutex, harvest its free VBNs
+   into the ring outside it (the harvest reads only bitmap bytes of the
+   freshly claimed AA, which no other domain touches); false when no AA
+   with free blocks is available.  A take can harvest zero blocks even
+   with a positive cached score: a ring that survived the last CP may have
+   already consumed the AA's blocks that the CP re-filed it with.  Such an
+   AA is simply spent — retry with the next take.  Quarantine retries are
+   bounded by [qbudget] so the cacheless policies (which pick by free
+   count and cannot learn) give up instead of spinning on an all-bad
+   range. *)
+let rec refill_aa t (sink : sink) cursor qbudget =
+  (* Lazy-mount first touch: a stale space materializes its exact scores
+     and cache here, before the pick trusts either. *)
+  (match cursor.space with
+  | Range r -> Rebuild.touch_range t.aggregate r
+  | Vol (v, _) -> Rebuild.touch_vol v);
+  let aa =
+    Mutex.protect t.pick_mutex (fun () ->
+        take_aa_locked t cursor ~can_quarantine:(qbudget > 0))
+  in
+  if aa = quarantined_aa then refill_aa t sink cursor (qbudget - 1)
+  else
+    aa >= 0
+    &&
+    let words0 = !(sink.words) in
+    Telemetry.span_enter Span.Harvest;
+    let count =
+      match cursor.space with
+      | Range r ->
+        Aggregate.harvest_free_of_aa t.aggregate r aa ~dst:cursor.ring ~words:sink.words
+      | Vol (v, _) -> Flexvol.harvest_free_of_aa v aa ~dst:cursor.ring ~words:sink.words
     in
-    if bad then begin
-      if qbudget = 0 then false
-      else begin
-        Hashtbl.replace cursor.quarantined aa ();
-        Telemetry.incr "fault.aa_quarantined";
-        refill_range_guarded t range cursor (qbudget - 1)
-      end
-    end
-    else begin
-      note_phys_take t score;
-      t.candidates_scanned <-
-        t.candidates_scanned + Topology.aa_capacity range.Aggregate.topology aa;
-      let words0 = !(t.words) in
-      Telemetry.span_enter Span.Harvest;
-      let count =
-        Aggregate.harvest_free_of_aa t.aggregate range aa ~dst:cursor.ring ~words:t.words
-      in
-      Telemetry.span_exit Span.Harvest;
-      cursor.head <- 0;
-      cursor.len <- count;
-      cursor.ring_aa <- aa;
-      cursor.ring_epoch <- t.epoch;
-      note_harvest t ~words0 ~count;
-      count > 0 || refill_range_guarded t range cursor qbudget
-    end
+    Telemetry.span_exit Span.Harvest;
+    cursor.head <- 0;
+    cursor.len <- count;
+    cursor.ring_aa <- aa;
+    cursor.ring_epoch <- t.epoch;
+    sink.harvested <- sink.harvested + count;
+    Telemetry.add "write_alloc.words_scanned" (!(sink.words) - words0);
+    Telemetry.add "write_alloc.vbns_harvested" count;
+    Telemetry.max_gauge "write_alloc.ring_high_water" (float_of_int count);
+    count > 0 || refill_aa t sink cursor qbudget
 
-let refill_range t range cursor =
-  match range.Aggregate.fault with
-  | Some dev when not (Wafl_fault.Fault.online dev) -> false
-  | _ -> refill_range_guarded t range cursor 64
+let refill t sink cursor =
+  match cursor.space with
+  | Range { Aggregate.fault = Some dev; _ } when not (Wafl_fault.Fault.online dev) -> false
+  | Range _ | Vol _ -> refill_aa t sink cursor 64
 
-(* The ring-pop loop, top-level so the steady-state path allocates no
-   closure.  Pops need no [is_allocated] recheck (see [revalidate]). *)
-let rec take_loop t range cursor dst pos want =
-  if want = 0 then pos
-  else if cursor.head < cursor.len then begin
-    let pvbn = cursor.ring.(cursor.head) in
+(* The one per-block consume loop: pop, set the bitmap bit, record the
+   dirtied metafile page in [touched] and the score decrement in [delta].
+   No [is_allocated] recheck (see [revalidate]); zero heap words. *)
+let rec consume am touched delta cursor dst pos stop =
+  if pos >= stop || cursor.head >= cursor.len then pos
+  else begin
+    let vbn = cursor.ring.(cursor.head) in
     cursor.head <- cursor.head + 1;
-    Aggregate.allocate_harvested t.aggregate range ~aa:cursor.ring_aa ~pvbn;
-    dst.(pos) <- pvbn;
-    take_loop t range cursor dst (pos + 1) (want - 1)
+    Activemap.allocate_harvested_touched am vbn ~touched;
+    Score.note_alloc_aa delta ~aa:cursor.ring_aa;
+    dst.(pos) <- vbn;
+    consume am touched delta cursor dst (pos + 1) stop
   end
-  else if refill_range t range cursor then take_loop t range cursor dst pos want
-  else pos
 
-(* Take up to [want] allocatable PVBNs from one range into [dst] at [pos];
-   returns the new fill position.  Allocation-free while the ring lasts. *)
-let take_from_range_into t range cursor ~dst ~pos want =
-  revalidate t cursor (Aggregate.metafile t.aggregate);
-  take_loop t range cursor dst pos want
+(* Fill [dst.(pos .. stop-1)] from the cursor, refilling as rings run dry;
+   returns the fill position reached.  [Gc.minor_words] brackets only the
+   consume segments — refills run off the zero-allocation window. *)
+let rec take_loop t sink cursor dst pos stop =
+  let m0 = Gc.minor_words () in
+  let pos' =
+    match cursor.space with
+    | Range r ->
+      sink.dirty <- true;
+      consume (Aggregate.activemap t.aggregate) sink.touched
+        sink.deltas.(r.Aggregate.index) cursor dst pos stop
+    | Vol (v, touched) ->
+      consume (Flexvol.activemap v) touched (Flexvol.delta v) cursor dst pos stop
+  in
+  sink.consume_minor <- sink.consume_minor + int_of_float (Gc.minor_words () -. m0);
+  if pos' >= stop then pos'
+  else if refill t sink cursor then take_loop t sink cursor dst pos' stop
+  else pos'
+
+let take_into t sink cursor ~dst ~pos want =
+  revalidate t cursor;
+  take_loop t sink cursor dst pos (pos + want)
+
+let fold_touched mf touched =
+  Metafile.mark_touched_dirty mf ~touched;
+  Bytes.fill touched 0 (Bytes.length touched) '\000'
+
+(* Fold a sink's private state into the shared structures: dirtied pages,
+   score deltas (in touch order, so a one-domain call leaves every delta
+   exactly as direct bumps would) and harvest counters. *)
+let merge_sink t sink =
+  if sink.dirty then begin
+    sink.dirty <- false;
+    fold_touched (Aggregate.metafile t.aggregate) sink.touched;
+    let ranges = Aggregate.ranges t.aggregate in
+    for i = 0 to Array.length ranges - 1 do
+      Score.merge_into ~src:sink.deltas.(i) ~dst:ranges.(i).Aggregate.delta
+    done
+  end;
+  t.words := !(t.words) + !(sink.words);
+  sink.words := 0;
+  t.harvested <- t.harvested + sink.harvested;
+  sink.harvested <- 0
 
 let rec array_max a i best =
   if i >= Array.length a then best else array_max a (i + 1) (if a.(i) > best then a.(i) else best)
@@ -375,10 +481,11 @@ let best_score_of_range (range : Aggregate.range) =
       (* cacheless: use the true best score so throttling still works *)
       array_max range.Aggregate.scores 0 0)
 
-(* The fan-out stages of the serial [allocate_pvbns_into], top-level
-   (closure-free): the whole call must allocate nothing when served from
-   rings.  Fill positions are absolute ([pos0] is the caller's base), so
-   the parallel front-end can reuse the serial path for its shortfall. *)
+(* The allocation core, top-level and closure-free: the whole call must
+   allocate nothing when served from rings.  [plan] picks the eligible
+   ranges and weighs them; [drive] then spreads a slice of [dst] over them
+   through one cursor row.  Fill positions are absolute, so a parallel
+   window drives each domain's row over its own slice of [dst]. *)
 
 let rec filter_elig t ranges min_score i m =
   if i >= Array.length ranges then m
@@ -389,79 +496,80 @@ let rec filter_elig t ranges min_score i m =
   else filter_elig t ranges min_score (i + 1) m
 
 (* Weight each range by its best AA score: emptier groups get a larger
-   share of the CP's blocks (§4.2).  Weights are computed once per call —
-   not re-derived every mop-up round. *)
-let rec weigh_elig t ranges m k total =
-  if k >= m then total
+   share of the CP's blocks (§4.2). *)
+let rec weigh_elig t ranges k total =
+  if k >= t.n_elig then total
   else begin
     let w = max 1 (best_score_of_range ranges.(t.elig.(k))) in
     t.weight.(k) <- w;
-    weigh_elig t ranges m (k + 1) (total + w)
+    weigh_elig t ranges (k + 1) (total + w)
   end
 
-let rec take_shares t ranges row dst n m total_weight k got =
-  if k >= m then got
+let elig_all t nr =
+  for i = 0 to nr - 1 do
+    t.elig.(i) <- i
+  done;
+  nr
+
+let plan t =
+  let ranges = Aggregate.ranges t.aggregate in
+  let nr = Array.length ranges in
+  t.n_elig <-
+    (match (Aggregate.config t.aggregate).Config.rg_score_threshold with
+    | None -> elig_all t nr
+    | Some min_score ->
+      let m = filter_elig t ranges min_score 0 0 in
+      (* never stall entirely: fall back to every range (§3.3.1) *)
+      if m > 0 then m else elig_all t nr);
+  t.total_weight <- weigh_elig t ranges 0 0
+
+let rec take_shares t sink row dst n k got =
+  if k >= t.n_elig then got
   else begin
-    let share = n * t.weight.(k) / total_weight in
+    let share = n * t.weight.(k) / t.total_weight in
     let got =
-      if share > 0 then begin
-        let i = t.elig.(k) in
-        take_from_range_into t ranges.(i) row.(i) ~dst ~pos:got share
-      end
-      else got
+      if share > 0 then take_into t sink row.(t.elig.(k)) ~dst ~pos:got share else got
     in
-    take_shares t ranges row dst n m total_weight (k + 1) got
+    take_shares t sink row dst n (k + 1) got
   end
 
 (* Rounding remainder and any shortfall: round-robin over eligible ranges
    until satisfied or nothing more is allocatable.  Progress is the fill
-   position itself — no per-round list lengths. *)
-let rec mop_round t ranges row dst stop m k got =
-  if k >= m || got >= stop then got
-  else begin
-    let i = t.elig.(k) in
-    mop_round t ranges row dst stop m (k + 1)
-      (take_from_range_into t ranges.(i) row.(i) ~dst ~pos:got (min 64 (stop - got)))
-  end
+   position itself. *)
+let rec mop_round t sink row dst stop k got =
+  if k >= t.n_elig || got >= stop then got
+  else
+    mop_round t sink row dst stop (k + 1)
+      (take_into t sink row.(t.elig.(k)) ~dst ~pos:got (min 64 (stop - got)))
 
-let rec mop_up t ranges row dst stop m got =
+let rec mop_up t sink row dst stop got =
   if got >= stop then got
   else begin
-    let got' = mop_round t ranges row dst stop m 0 got in
-    if got' > got then mop_up t ranges row dst stop m got' else got'
+    let got' = mop_round t sink row dst stop 0 got in
+    if got' > got then mop_up t sink row dst stop got' else got'
   end
 
-(* Serial allocation core for one class row, filling
-   [dst.(pos0 .. pos0+n-1)]; returns the absolute fill position reached. *)
-let allocate_pvbns_serial t ~row ~dst ~pos0 n =
-  let ranges = Aggregate.ranges t.aggregate in
-  let nr = Array.length ranges in
-  let threshold = (Aggregate.config t.aggregate).Config.rg_score_threshold in
-  (* Eligible ranges into the preallocated [elig] scratch. *)
-  let m =
-    match threshold with
-    | None ->
-      for i = 0 to nr - 1 do
-        t.elig.(i) <- i
-      done;
-      nr
-    | Some min_score ->
-      let m = filter_elig t ranges min_score 0 0 in
-      if m > 0 then m
-      else begin
-        (* never stall entirely: fall back to every range (§3.3.1) *)
-        for i = 0 to nr - 1 do
-          t.elig.(i) <- i
-        done;
-        nr
-      end
-  in
-  let total_weight = weigh_elig t ranges m 0 0 in
-  let after_shares = take_shares t ranges row dst n m total_weight 0 pos0 in
-  mop_up t ranges row dst (pos0 + n) m after_shares
+let drive t sink row dst pos stop =
+  mop_up t sink row dst stop (take_shares t sink row dst (stop - pos) 0 pos)
+
+(* The single-threaded pass: drive every domain's row of class [cls], in
+   domain order, over [dst.(pos .. n-1)] until it is full.  With one domain
+   this is the whole allocation; after a parallel window it is the tail that
+   drains the rings the window left behind. *)
+let rec drive_rows t ~cls dst d pos n =
+  if d >= Array.length t.cursors || pos >= n then pos
+  else drive_rows t ~cls dst (d + 1) (drive t t.sinks.(0) t.cursors.(d).(cls) dst pos n) n
+
+let drive_single t ~cls ~dst pos n =
+  plan t;
+  let pos = drive_rows t ~cls dst 0 pos n in
+  for d = 0 to Array.length t.sinks - 1 do
+    merge_sink t t.sinks.(d)
+  done;
+  pos
 
 (* ------------------------------------------------------------------ *)
-(* Concurrent allocation front-end (the multi-writer path).            *)
+(* Parallel windows.                                                   *)
 
 (* The pool driving parallel allocation windows, installed process-wide
    (mirrors Par.install): waflsim's [--alloc-domains N].  Kept separate
@@ -506,288 +614,72 @@ let parallel_capable t =
   if t.par_capable < 0 then t.par_capable <- (if compute_par_capable t then 1 else 0);
   t.par_capable = 1
 
-(* Grow the per-domain shard set; shard [c] claims AAs as owner [c + 1]
-   (0 is the serial cursors' id). *)
-let ensure_alloc_shards t jobs =
-  if Array.length t.alloc_shards < jobs then begin
-    let ranges = Aggregate.ranges t.aggregate in
-    let capacity =
-      Array.fold_left
-        (fun acc (r : Aggregate.range) ->
-          max acc (Topology.full_aa_capacity r.Aggregate.topology))
-        1 ranges
-    in
-    let pages = Metafile.pages (Aggregate.metafile t.aggregate) in
-    let old = t.alloc_shards in
-    t.alloc_shards <-
-      Array.init jobs (fun c ->
-          if c < Array.length old then old.(c)
-          else
-            Alloc_shard.create ~id:c ~capacity
-              ~deltas:
-                (Array.map
-                   (fun (r : Aggregate.range) -> Score.create_delta r.Aggregate.topology)
-                   ranges)
-              ~touched_pages:pages)
+let ensure_domains t jobs =
+  let have = Array.length t.cursors in
+  if have < jobs then begin
+    t.cursors <-
+      Array.init jobs (fun d ->
+          if d < have then t.cursors.(d)
+          else domain_rows t.aggregate ~classes:t.classes d);
+    t.sinks <-
+      Array.init jobs (fun d -> if d < have then t.sinks.(d) else new_sink t.aggregate)
   end
 
-let prepare_par t ~jobs = ensure_alloc_shards t jobs
-
-(* Concurrent free: O(1) into the calling slot's private queue.  Drained
-   serially (in shard order, so the commit order is deterministic) into
-   the aggregate's validated free queue before the CP commit. *)
-let queue_free_par t ~slot ~pvbn = Alloc_shard.queue_free t.alloc_shards.(slot) pvbn
-
-let drain_queued_frees t =
-  let total = ref 0 in
-  Array.iter
-    (fun (shard : Alloc_shard.t) ->
-      for k = 0 to shard.n_free - 1 do
-        Aggregate.queue_free t.aggregate ~pvbn:shard.free_q.(k)
-      done;
-      total := !total + shard.n_free;
-      shard.n_free <- 0)
-    t.alloc_shards;
-  !total
-
-(* Claim-aware pick for one shard, under the pick mutex: chooses the range
-   with the best available score (offline ranges score 0 and are skipped),
-   then takes + claims its best unclaimed AA as owner [shard.id + 1].  The
-   take is registered in the range cursor's taken list, so cp_finish
-   releases and re-files shard-claimed AAs exactly like serial ones.
-   Returns the range index and AA, or (-1, _) when nothing is available. *)
-let par_pick_locked t row (shard : Alloc_shard.t) =
-  let ranges = Aggregate.ranges t.aggregate in
-  let rec pick_range_aa qbudget =
-    let best_i = ref (-1) and best_s = ref 0 in
-    Array.iteri
-      (fun i r ->
-        let s = best_score_of_range r in
-        if s > !best_s then begin
-          best_i := i;
-          best_s := s
-        end)
-      ranges;
-    if !best_i < 0 then (-1, 0)
-    else begin
-      let i = !best_i in
-      let range = ranges.(i) in
-      let cursor = row.(i) in
-      let picked =
-        pick_aa t cursor ~policy:Config.Best_aa ~space:range.Aggregate.index
-          ~cache:range.Aggregate.cache
-          ~n_aas:(Topology.aa_count range.Aggregate.topology)
-          ~free_of:(fun aa -> Aggregate.aa_score_now t.aggregate range aa)
-          ~owner:(shard.id + 1)
-      in
-      match picked with
-      | None -> (-1, 0)
-      | Some (aa, score) ->
-        let bad =
-          match range.Aggregate.fault with
-          | Some dev -> aa_overlaps_fault range dev aa
-          | None -> false
-        in
-        if bad then begin
-          if qbudget = 0 then (-1, 0)
-          else begin
-            Hashtbl.replace cursor.quarantined aa ();
-            Telemetry.incr "fault.aa_quarantined";
-            pick_range_aa (qbudget - 1)
-          end
-        end
-        else begin
-          note_phys_take t score;
-          shard.taken <- shard.taken + 1;
-          shard.score_sum <- shard.score_sum + score;
-          t.candidates_scanned <-
-            t.candidates_scanned + Topology.aa_capacity range.Aggregate.topology aa;
-          (i, aa)
-        end
-    end
-  in
-  pick_range_aa 64
-
-(* Refill a shard's (empty) ring: pick under the mutex, harvest outside it
-   (the harvest reads only bitmap bytes of the freshly claimed AA, which
-   no other domain can touch).  A spent AA (score went stale across a CP)
-   harvests zero and the pick retries. *)
-let rec par_refill t row (shard : Alloc_shard.t) =
-  Mutex.lock t.pick_mutex;
-  let range_idx, aa =
-    match par_pick_locked t row shard with
-    | exception exn ->
-      Mutex.unlock t.pick_mutex;
-      raise exn
-    | res -> res
-  in
-  Mutex.unlock t.pick_mutex;
-  if range_idx < 0 then false
-  else begin
-    let range = (Aggregate.ranges t.aggregate).(range_idx) in
-    let count =
-      Aggregate.harvest_free_of_aa t.aggregate range aa ~dst:shard.ring
-        ~words:shard.words
-    in
-    shard.harvested <- shard.harvested + count;
-    (* The ring's monotone byte group, which steals split on: plain
-       [pvbn lsr 3] for a contiguous AA, the per-device stripe byte for
-       the stripe-major RAID-aware emission (adjacent entries there are
-       on different devices, so adjacent-pvbn bytes say nothing). *)
-    let key_base, key_mod =
-      match range.Aggregate.topology with
-      | Topology.Raid_agnostic _ -> (0, 0)
-      | Topology.Raid_aware { geometry; _ } ->
-        (range.Aggregate.base, Wafl_raid.Geometry.device_blocks geometry)
-    in
-    Alloc_shard.publish shard ~range_idx ~aa ~key_base ~key_mod ~count;
-    count > 0 || par_refill t row shard
-  end
-
-(* Steal from the fullest other shard; a single attempt (failure falls
-   through to a fresh pick). *)
-let try_steal_from_any t (shard : Alloc_shard.t) =
-  let shards = t.alloc_shards in
-  let best = ref (-1) and best_n = ref 1 in
-  for j = 0 to Array.length shards - 1 do
-    if j <> shard.id then begin
-      let n = Alloc_shard.entries shards.(j) in
-      if n > !best_n then begin
-        best := j;
-        best_n := n
-      end
-    end
-  done;
-  !best >= 0 && Alloc_shard.try_steal ~victim:shards.(!best) ~thief:shard
-
-(* The per-block consume loop of one shard: pop, set the bitmap bit (byte
-   disjoint from every other domain by the claim + byte-aligned-steal
-   invariants), record the touched metafile page and the score decrement
-   in the shard's private accumulators.  Zero heap words per block. *)
-let rec par_consume t (shard : Alloc_shard.t) am dst pos stop =
-  if pos >= stop then pos
-  else begin
-    let pvbn = Alloc_shard.pop shard in
-    if pvbn < 0 then pos
-    else begin
-      Activemap.allocate_harvested_touched am pvbn ~touched:shard.touched;
-      Score.note_alloc_aa
-        (Array.unsafe_get shard.deltas shard.ring_range)
-        ~aa:shard.ring_aa;
-      Array.unsafe_set dst pos pvbn;
-      par_consume t shard am dst (pos + 1) stop
-    end
-  end
-
-(* One shard's chunk: consume / steal / refill until the slice is full or
-   the aggregate is dry.  [Gc.minor_words] brackets only the pop-consume
-   segments — refills and steals run off the zero-allocation window. *)
-let rec par_chunk t row (shard : Alloc_shard.t) am dst pos stop =
-  if pos >= stop then pos
-  else begin
-    let m0 = Gc.minor_words () in
-    let pos' = par_consume t shard am dst pos stop in
-    shard.consume_minor <-
-      shard.consume_minor + int_of_float (Gc.minor_words () -. m0);
-    shard.allocated <- shard.allocated + (pos' - pos);
-    if pos' >= stop then pos'
-    else if try_steal_from_any t shard then par_chunk t row shard am dst pos' stop
-    else if par_refill t row shard then par_chunk t row shard am dst pos' stop
-    else pos'
-  end
-
-(* Fold every shard's private window state back into the shared structures,
-   serially, in shard order — the merge is the only writer, so the result
-   is independent of how the window's work interleaved. *)
-let merge_par_window t jobs =
-  let mf = Aggregate.metafile t.aggregate in
-  let ranges = Aggregate.ranges t.aggregate in
-  t.last_par <-
-    Array.init jobs (fun c ->
-        let shard = t.alloc_shards.(c) in
-        Metafile.mark_touched_dirty mf ~touched:shard.touched;
-        Bytes.fill shard.touched 0 (Bytes.length shard.touched) '\000';
-        Array.iteri
-          (fun i (r : Aggregate.range) ->
-            Score.merge_into ~src:shard.deltas.(i) ~dst:r.Aggregate.delta)
-          ranges;
-        t.words := !(t.words) + !(shard.words);
-        Telemetry.add "write_alloc.words_scanned" !(shard.words);
-        shard.words := 0;
-        t.harvested <- t.harvested + shard.harvested;
-        Telemetry.add "write_alloc.vbns_harvested" shard.harvested;
-        Telemetry.add "write_alloc.steals" shard.steals;
-        Telemetry.max_gauge
-          ("write_alloc.ring_high_water.d" ^ string_of_int c)
-          (float_of_int shard.high_water);
-        {
-          ps_allocated = shard.allocated;
-          ps_steals = shard.steals;
-          ps_high_water = shard.high_water;
-          ps_minor_words = shard.consume_minor;
-        })
-
-(* A parallel allocation window: one chunk (= one shard) per pool domain,
-   each filling its own contiguous slice of [dst]; holes from uneven
-   shortfalls are compacted afterwards and any remainder is retried on the
-   serial path (which sees shard claims and cannot double-hand-out). *)
-let allocate_pvbns_par t pool ~row ~dst n =
+(* A parallel window: domain [d] drives its own cursor row over its own
+   slice of [dst], picking under the pick mutex and consuming into its own
+   sink.  The single-threaded pass then finishes the request, and the
+   sinks merge in domain order.  Byte disjointness of the concurrent
+   bitmap writes: the layout is byte-aligned ([parallel_capable]), each
+   ring holds blocks of one AA its row claimed, and only the row's own
+   domain consumes it during the window. *)
+let allocate_window t pool ~cls ~dst n =
   let jobs = Par.jobs pool in
-  ensure_alloc_shards t jobs;
-  let ranges = Aggregate.ranges t.aggregate in
-  (* Serial prologue: materialize lazily mounted ranges (the pick path
-     must not rebuild from a worker), and drop serial rings left over
-     from a previous epoch — their AAs are unclaimed again, so a shard
-     could re-harvest the very blocks they still hold. *)
-  Array.iter (fun r -> Rebuild.touch_range t.aggregate r) ranges;
-  Array.iter
-    (Array.iter (fun c ->
-         if c.ring_epoch <> t.epoch then begin
-           c.head <- 0;
-           c.len <- 0;
-           c.ring_epoch <- t.epoch
-         end))
-    t.cursors;
-  for c = 0 to jobs - 1 do
-    Alloc_shard.reset_window t.alloc_shards.(c)
-  done;
+  ensure_domains t jobs;
+  (* Serial prologue: materialize lazily mounted ranges (a worker must not
+     rebuild), and drop rings left over from a previous epoch — their AAs
+     are unclaimed again, so another row could re-harvest the very blocks
+     they still hold. *)
+  Array.iter (fun r -> Rebuild.touch_range t.aggregate r) (Aggregate.ranges t.aggregate);
+  iter_range_cursors t (fun c ->
+      if c.ring_epoch <> t.epoch then begin
+        c.head <- 0;
+        c.len <- 0;
+        c.ring_epoch <- t.epoch
+      end);
+  Array.iter (fun s -> s.consume_minor <- 0) t.sinks;
   t.used_par <- true;
-  let am = Aggregate.activemap t.aggregate in
+  plan t;
   let bounds = Par.chunk_bounds ~total:n ~align:1 ~chunks:jobs in
-  let chunks = Array.length bounds in
-  let filled = Array.make chunks 0 in
-  Par.run_with_slot pool ~chunks ~f:(fun ~slot:_ i ->
-      let start, len = bounds.(i) in
-      filled.(i) <- par_chunk t row t.alloc_shards.(i) am dst start (start + len) - start);
-  merge_par_window t jobs;
-  (* With temperature routing active the next window may serve a different
-     class: flush leftover shard-ring entries so blocks harvested from
-     this class's claimed AAs cannot leak into another class's batch.
-     The blocks stay free in the bitmap and the AAs stay claimed until
-     cp_finish — nothing is lost, the next same-class pick re-harvests. *)
-  if t.classes > 1 then Array.iter Alloc_shard.flush t.alloc_shards;
-  (* Compact the per-chunk slices left-justified. *)
+  let filled = Array.make jobs 0 in
+  Par.run_with_slot pool ~chunks:(Array.length bounds) ~f:(fun ~slot:_ d ->
+      let start, len = bounds.(d) in
+      filled.(d) <- drive t t.sinks.(d) t.cursors.(d).(cls) dst start (start + len) - start);
+  (* Compact the per-domain slices left-justified. *)
   let pos = ref 0 in
   Array.iteri
-    (fun i (start, _len) ->
-      let f = filled.(i) in
+    (fun d (start, _len) ->
+      let f = filled.(d) in
       if start <> !pos && f > 0 then Array.blit dst start dst !pos f;
       pos := !pos + f)
     bounds;
-  if !pos < n then allocate_pvbns_serial t ~row ~dst ~pos0:!pos (n - !pos) else !pos
+  let pos = drive_single t ~cls ~dst !pos n in
+  t.last_par <-
+    Array.init jobs (fun d ->
+        { ps_allocated = filled.(d); ps_minor_words = t.sinks.(d).consume_minor });
+  pos
 
 let allocate_pvbns_into ?(cls = 0) t ~dst n =
   if n <= 0 then 0
   else begin
-    let row = t.cursors.(if cls < 0 || cls >= t.classes then 0 else cls) in
+    let cls = if cls < 0 || cls >= t.classes then 0 else cls in
     match !alloc_pool with
     | Some p
       when Par.jobs p > 1
            && n >= Par.jobs p * 16
            && (Aggregate.config t.aggregate).Config.aggregate_policy = Config.Best_aa
            && parallel_capable t ->
-      allocate_pvbns_par t p ~row ~dst n
-    | _ -> allocate_pvbns_serial t ~row ~dst ~pos0:0 n
+      allocate_window t p ~cls ~dst n
+    | _ -> drive_single t ~cls ~dst 0 n
   end
 
 let temp_classes t = t.classes
@@ -795,63 +687,25 @@ let temp_classes t = t.classes
 let last_par_stats t = t.last_par
 let claim_conflicts t = t.claim_conflicts
 
-(* ------------------------------------------------------------------ *)
-
-let rec refill_vol t vol cursor =
-  Rebuild.touch_vol vol;
-  let policy = (Flexvol.spec vol).Config.policy in
-  Telemetry.span_enter Span.Pick;
-  let picked =
-    pick_aa t cursor ~policy ~space:(-1) ~cache:(Flexvol.cache vol)
-      ~n_aas:(Topology.aa_count (Flexvol.topology vol))
-      ~free_of:(fun aa -> Score.score_of_aa (Flexvol.topology vol) (Flexvol.metafile vol) aa)
-      ~owner:0
-  in
-  Telemetry.span_exit Span.Pick;
-  match picked with
-  | None -> false
-  | Some (aa, score) ->
-    note_virt_take t score;
-    t.candidates_scanned <-
-      t.candidates_scanned + Topology.aa_capacity (Flexvol.topology vol) aa;
-    let words0 = !(t.words) in
-    Telemetry.span_enter Span.Harvest;
-    let count = Flexvol.harvest_free_of_aa vol aa ~dst:cursor.ring ~words:t.words in
-    Telemetry.span_exit Span.Harvest;
-    cursor.head <- 0;
-    cursor.len <- count;
-    cursor.ring_aa <- aa;
-    cursor.ring_epoch <- t.epoch;
-    note_harvest t ~words0 ~count;
-    count > 0 || refill_vol t vol cursor
-
-let rec vvbn_loop t vol cursor dst n pos =
-  if pos >= n then pos
-  else if cursor.head < cursor.len then begin
-    let vvbn = cursor.ring.(cursor.head) in
-    cursor.head <- cursor.head + 1;
-    (* reserve immediately so a re-gathered AA cannot offer it again *)
-    Flexvol.reserve_harvested vol ~aa:cursor.ring_aa ~vvbn;
-    dst.(pos) <- vvbn;
-    vvbn_loop t vol cursor dst n (pos + 1)
-  end
-  else if refill_vol t vol cursor then vvbn_loop t vol cursor dst n pos
-  else pos
-
 let allocate_vvbns_into t vol ~dst n =
   if n <= 0 then 0
   else begin
     let cursor = vol_cursor t vol in
-    revalidate t cursor (Flexvol.metafile vol);
-    vvbn_loop t vol cursor dst n 0
+    let sink = t.sinks.(0) in
+    let got = take_into t sink cursor ~dst ~pos:0 n in
+    (match cursor.space with
+    | Vol (v, touched) -> fold_touched (Flexvol.metafile v) touched
+    | Range _ -> ());
+    merge_sink t sink;
+    got
   end
 
 (* CP boundary for one space: release every taken AA's claim (across all
-   of the space's class cursors — their taken lists are disjoint, the
-   shared claim words block a second class from taking an owned AA),
-   apply the score delta once, and make sure every taken AA is re-filed
-   in the cache, even if its score did not change.  [Score.mem] answers
-   "will apply emit this AA?" directly from the delta's preallocated
+   of the space's cursors — their taken lists are disjoint, the shared
+   claim words block a second row from taking an owned AA), apply the
+   score delta once, and make sure every taken AA is re-filed in the
+   cache, even if its score did not change.  [Score.mem] answers "will
+   apply emit this AA?" directly from the delta's preallocated
    accumulator, so no per-CP hash table or list concatenation is needed.
    [wear_adjust], when given, maps [(aa, score)] to the cache-filed score
    — the free-count [scores] array itself is never touched by wear. *)
@@ -926,20 +780,17 @@ let aa_max_wear (range : Aggregate.range) ftl aa =
 let cp_finish t =
   t.epoch <- t.epoch + 1;
   if t.used_par then begin
-    (* After a parallel window, any surviving ring — serial or shard —
-       holds blocks of AAs whose claims are released and whose scores are
-       about to be re-filed; a later pick could re-harvest those blocks.
-       Drop all rings (the blocks stay free in the bitmap, nothing is
-       lost) and start the next CP clean.  Class rows in serial mode keep
-       their rings instead: cp_finish_space holds the ring AA's claim
-       across the boundary, so each class keeps filling the same AA over
-       consecutive CPs exactly like the unrouted serial allocator. *)
-    Array.iter
-      (Array.iter (fun c ->
-           c.head <- 0;
-           c.len <- 0))
-      t.cursors;
-    Array.iter Alloc_shard.flush t.alloc_shards;
+    (* After a parallel window, any surviving ring holds blocks of an AA
+       whose claim is about to be released and whose score re-filed; a
+       later pick could re-harvest those blocks.  Drop every row's ring
+       (the blocks stay free in the bitmap, nothing is lost) and start the
+       next CP clean.  Without a window the one-domain rule holds: class
+       rows keep their rings, and cp_finish_space holds a routed ring's AA
+       claim across the boundary, so each class keeps filling the same AA
+       over consecutive CPs. *)
+    iter_range_cursors t (fun c ->
+        c.head <- 0;
+        c.len <- 0);
     t.used_par <- false
   end;
   let bias = (Aggregate.config t.aggregate).Config.streams.Config.wear_bias in
@@ -960,7 +811,8 @@ let cp_finish t =
       cp_finish_space ~keep_claimed_rings:(t.classes > 1) ?wear_adjust
         ~delta:range.Aggregate.delta ~scores:range.Aggregate.scores
         ~cache:range.Aggregate.cache
-        (Array.map (fun row -> row.(i)) t.cursors))
+        (Array.concat
+           (Array.to_list (Array.map (Array.map (fun row -> row.(i))) t.cursors))))
     (Aggregate.ranges t.aggregate);
   List.iter
     (fun (vol, cursor) ->

@@ -16,24 +16,25 @@
     what lets multiple domains allocate concurrently (below) without two
     writers ever touching the same AA between CPs.
 
-    {b Concurrent front-end.}  With an allocation pool installed
-    ({!install_alloc_pool}), large [allocate_pvbns_into] calls fan out
-    over per-domain shards ({!Alloc_shard}): each domain pops from its own
-    lock-free harvest ring, claims fresh AAs through the shared
-    (mutex-serialised) cache pick path, steals byte-aligned ring suffixes
-    from other shards when it runs dry, and accumulates score deltas and
-    touched metafile pages privately; a serial epilogue merges everything
-    back in shard order, so the committed state is independent of the
-    window's interleaving.  The per-block consume loop allocates zero
+    {b One engine, one or more domains.}  Every allocation runs one
+    core: weigh the eligible ranges, then fill a slice of the caller's
+    array through one cursor row — weighted shares, then round-robin
+    mop-up — with one refill (take and claim an AA under the pick mutex,
+    harvest it outside) and one per-block consume loop that writes score
+    changes and dirtied metafile pages into a per-domain accumulator,
+    merged back after the call.  Serial allocation is the one-domain
+    case.  With an allocation pool installed ({!install_alloc_pool}), a
+    large [allocate_pvbns_into] call opens a parallel window: domain [d]
+    drives its own cursor row over its own slice, then a single-threaded
+    tail drives every row over the remainder, so leftover rings drain
+    without any cross-domain stealing.  The consume loop allocates zero
     minor-heap words per domain. *)
 
 type t
 
 type par_slot_stats = {
-  ps_allocated : int;   (** blocks this shard handed out in the last window *)
-  ps_steals : int;      (** successful ring steals by this shard *)
-  ps_high_water : int;  (** largest ring fill this shard published *)
-  ps_minor_words : int; (** minor-heap words inside its pop-consume loops *)
+  ps_allocated : int;   (** blocks this domain handed out in the last window *)
+  ps_minor_words : int; (** minor-heap words inside its consume loops *)
 }
 
 val create : Aggregate.t -> rng:Wafl_util.Rng.t -> t
@@ -74,9 +75,9 @@ val cp_finish : t -> unit
 (** CP boundary: apply every range's and volume's batched score delta,
     re-file taken AAs, rebalance caches.  Clears per-CP state but keeps
     partially-consumed AA queues (WAFL continues filling an AA across
-    CPs) — except after a parallel window, where surviving rings are
-    dropped (their AAs lose their claims at this boundary, so another
-    shard could re-harvest the blocks they hold).  With
+    CPs) — except after a parallel window, where every domain's
+    surviving ring is dropped (its AA loses its claim at this boundary,
+    so another row could re-harvest the blocks it holds).  With
     [temp_classes > 1] each class row instead keeps its live ring's AA
     {e claimed} across the boundary and carries it in the taken list:
     the row resumes filling the same erase block next CP, and the held
@@ -88,7 +89,7 @@ val cp_finish : t -> unit
 val register_vol : t -> Flexvol.t -> unit
 (** Track a volume so {!cp_finish} updates its cache too. *)
 
-(** {2 Concurrent allocation front-end} *)
+(** {2 Parallel allocation windows} *)
 
 val install_alloc_pool : jobs:int -> unit
 (** Install the process-wide allocation pool ([--alloc-domains N]); a
@@ -103,24 +104,10 @@ val parallel_capable : t -> bool
     When false, {!allocate_pvbns_into} stays serial regardless of the
     installed pool. *)
 
-val prepare_par : t -> jobs:int -> unit
-(** Materialize [jobs] shards up front (e.g. so {!queue_free_par} can be
-    used before any parallel allocation ran). *)
-
-val queue_free_par : t -> slot:int -> pvbn:int -> unit
-(** Constant-time concurrent free into slot's private queue; requires the
-    slot's shard to exist ({!prepare_par}).  Queued frees take effect when
-    {!drain_queued_frees} routes them into the aggregate's validated free
-    queue. *)
-
-val drain_queued_frees : t -> int
-(** Serially (in shard order) move every queued concurrent free into
-    {!Aggregate.queue_free}; returns the count.  Run before the CP commit
-    ({!Cp.run} does). *)
-
 val last_par_stats : t -> par_slot_stats array
-(** Per-shard stats of the most recent parallel window ([[||]] before the
-    first one). *)
+(** Per-domain stats of the most recent parallel window ([[||]] before
+    the first one).  The single-threaded tail's consume words count
+    toward domain 0. *)
 
 val claim_conflicts : t -> int
 (** Cumulative lost claim CAS races (structurally 0 while picks are

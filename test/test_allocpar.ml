@@ -1,9 +1,8 @@
-(* Tests for the lock-free multi-writer allocation front-end: the two
-   hard invariants (bit-identical final state vs. serial on
-   drain-symmetric workloads at every domain count, zero minor-heap
-   words per block in the pop-consume loop), conservation (no double
-   handout, no lost concurrent free), and the mmap pagestore remount
-   path. *)
+(* Tests for multi-domain allocation windows: the two hard invariants
+   (bit-identical final state vs. serial on drain-symmetric workloads at
+   every domain count, zero minor-heap words per block in the consume
+   loop), conservation (no double handout), fault quarantine under a
+   pool, and the mmap pagestore remount path. *)
 
 open Wafl_bitmap
 open Wafl_core
@@ -12,7 +11,7 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
 (* Byte-aligned geometry (every AA extent starts and ends on a bitmap
-   byte), so the front-end's static [parallel_capable] gate opens. *)
+   byte), so the allocator's static [parallel_capable] gate opens. *)
 let par_config =
   let rg =
     {
@@ -38,7 +37,7 @@ let fill_to_capacity wa =
     let got = Write_alloc.allocate_pvbns_into wa ~dst 4096 in
     Array.iter
       (fun s ->
-        check_int "minor words per shard" 0 s.Write_alloc.ps_minor_words)
+        check_int "minor words per domain" 0 s.Write_alloc.ps_minor_words)
       (Write_alloc.last_par_stats wa);
     if got > 0 then begin
       out := Array.sub dst 0 got :: !out;
@@ -62,10 +61,10 @@ let test_capable () =
   check_bool "byte-aligned config is parallel-capable" true
     (Write_alloc.parallel_capable (Fs.write_alloc fs))
 
-(* The tentpole invariant: a drain-symmetric workload (fill every
+(* The core invariant: a drain-symmetric workload (fill every
    allocatable block, then free them all back) leaves state
-   bit-identical to the serial allocator at every domain count, hands
-   no block out twice, and loses no concurrent free. *)
+   bit-identical to the serial allocator at every domain count and hands
+   no block out twice. *)
 let hammer jobs =
   (* Serial reference. *)
   let fs_s = Fs.create par_config in
@@ -92,18 +91,13 @@ let hammer jobs =
         true
         (Bitmap.equal want (agg_bitmap fs));
       if jobs > 1 then
-        check_int (label ^ ": one shard per domain") jobs
+        check_int (label ^ ": one stats slot per domain") jobs
           (Array.length (Write_alloc.last_par_stats wa));
       check_int (label ^ ": claim CAS races") 0 (Write_alloc.claim_conflicts wa);
       (* CP boundary releases every claim and refiles taken AAs. *)
       Write_alloc.cp_finish wa;
-      (* Free everything back through the concurrent per-slot queues. *)
-      Write_alloc.prepare_par wa ~jobs;
-      Array.iteri
-        (fun i pvbn -> Write_alloc.queue_free_par wa ~slot:(i mod jobs) ~pvbn)
-        pv;
-      check_int (label ^ ": no concurrent free lost") (Array.length pv)
-        (Write_alloc.drain_queued_frees wa);
+      (* Free everything back through the aggregate's validated queue. *)
+      Array.iter (fun pvbn -> Aggregate.queue_free (Fs.aggregate fs) ~pvbn) pv;
       ignore (Aggregate.commit_frees (Fs.aggregate fs));
       check_int (label ^ ": all blocks free again") free0
         (Aggregate.free_blocks (Fs.aggregate fs));
@@ -116,7 +110,7 @@ let test_hammer_jobs2 () = hammer 2
 let test_hammer_jobs4 () = hammer 4
 let test_hammer_jobs8 () = hammer 8
 
-(* jobs=1 through the front-end API must behave exactly like no pool at
+(* jobs=1 through the pool API must behave exactly like no pool at
    all (install_alloc_pool ~jobs:1 is a no-op uninstall, and
    alloc_pool_jobs reports the serial degree 1). *)
 let test_jobs1_is_serial () =
@@ -144,6 +138,148 @@ let test_pooled_cps_conserve () =
   Fun.protect ~finally:Write_alloc.uninstall_alloc_pool (fun () ->
       let free_par = run (Fs.create par_config) in
       check_int "pooled CPs allocate the same block count" free_serial free_par)
+
+(* [bench alloc par]'s modeled critical path of one fill to capacity, in
+   block-equivalents: each window's largest per-domain share, plus the
+   blocks the window tails handed out, plus 64 per serialised AA pick. *)
+let modeled_units jobs =
+  let pool = jobs > 1 in
+  if pool then Write_alloc.install_alloc_pool ~jobs;
+  Fun.protect
+    ~finally:(fun () -> if pool then Write_alloc.uninstall_alloc_pool ())
+    (fun () ->
+      let fs = Fs.create par_config in
+      let wa = Fs.write_alloc fs in
+      let batch = 16384 in
+      let dst = Array.make batch 0 in
+      let total = ref 0 and in_windows = ref 0 and max_shares = ref 0 in
+      let rec go () =
+        let got = Write_alloc.allocate_pvbns_into wa ~dst batch in
+        total := !total + got;
+        if pool then begin
+          let stats = Write_alloc.last_par_stats wa in
+          Array.iter (fun s -> in_windows := !in_windows + s.Write_alloc.ps_allocated) stats;
+          max_shares :=
+            !max_shares
+            + Array.fold_left (fun m s -> max m s.Write_alloc.ps_allocated) 0 stats
+        end;
+        if got > 0 then go ()
+      in
+      go ();
+      !max_shares + (!total - !in_windows) + (64 * Write_alloc.aas_taken wa))
+
+(* The modeled speedup is a deterministic figure: two fills at 4 domains
+   model the same critical path, and it clears the bench's 2.5x gate. *)
+let test_modeled_speedup_deterministic () =
+  let serial = modeled_units 1 in
+  let a = modeled_units 4 and b = modeled_units 4 in
+  check_int "same modeled critical path on two fills" a b;
+  check_bool "modeled speedup at 4 domains >= 2.5" true
+    (float_of_int serial /. float_of_int a >= 2.5)
+
+(* A single window call asked for every free block must return them all:
+   after an off-balance serial start, some domains run dry while others
+   still hold ring blocks, and the window's single-threaded tail drains
+   those rings. *)
+let test_window_tail_completes () =
+  Write_alloc.install_alloc_pool ~jobs:4;
+  Fun.protect ~finally:Write_alloc.uninstall_alloc_pool (fun () ->
+      let fs = Fs.create par_config in
+      let wa = Fs.write_alloc fs in
+      let agg = Fs.aggregate fs in
+      let dst = Array.make (Aggregate.total_blocks agg) 0 in
+      check_int "serial start" 10 (Write_alloc.allocate_pvbns_into wa ~dst 10);
+      let free = Aggregate.free_blocks agg in
+      check_int "one window call hands out every free block" free
+        (Write_alloc.allocate_pvbns_into wa ~dst free);
+      check_bool "the window's domains left a shortfall for the tail" true
+        (Array.fold_left
+           (fun acc s -> acc + s.Write_alloc.ps_allocated)
+           0 (Write_alloc.last_par_stats wa)
+        < free);
+      check_int "aggregate drained" 0 (Aggregate.free_blocks agg);
+      check_all_distinct "window tail" (Array.sub dst 0 free))
+
+(* No ring a window leaves behind survives the CP boundary: after it, the
+   first one-domain allocation must take a fresh AA instead of consuming
+   blocks of an AA whose claim the boundary released. *)
+let test_window_rings_end_at_cp () =
+  Write_alloc.install_alloc_pool ~jobs:4;
+  let fs = Fs.create par_config in
+  let wa = Fs.write_alloc fs in
+  let dst = Array.make 64 0 in
+  Fun.protect ~finally:Write_alloc.uninstall_alloc_pool (fun () ->
+      check_int "window" 64 (Write_alloc.allocate_pvbns_into wa ~dst 64));
+  Write_alloc.cp_finish wa;
+  let taken = Write_alloc.aas_taken wa in
+  check_int "one block" 1 (Write_alloc.allocate_pvbns_into wa ~dst 1);
+  check_int "fresh AA taken after the boundary" (taken + 1) (Write_alloc.aas_taken wa)
+
+(* The fault-quarantine branch under a pool: device-local blocks
+   [1024, 2048) of range 0 are permanently bad, so the AAs over them are
+   quarantined whichever domain (or the window's tail) picks them.  One
+   CP places more writes than the aggregate holds, through 4-domain
+   windows; nothing may land on the bad blocks or be handed out twice,
+   and the CP must leave the system Iron-clean. *)
+let test_quarantine_under_pool () =
+  let bad_start = 1024 and bad_len = 1024 in
+  let spec =
+    {
+      Wafl_fault.Fault.default_spec with
+      Wafl_fault.Fault.transient_p = 0.0;
+      torn_p = 0.0;
+      spike_p = 0.0;
+      bad_ranges = [ (0, bad_start, bad_len) ];
+    }
+  in
+  let tel = Wafl_telemetry.Telemetry.create () in
+  Wafl_fault.Fault.install_default spec;
+  Write_alloc.install_alloc_pool ~jobs:4;
+  Fun.protect
+    ~finally:(fun () ->
+      Write_alloc.uninstall_alloc_pool ();
+      Wafl_fault.Fault.uninstall_default ())
+    (fun () ->
+      Wafl_telemetry.Telemetry.with_installed tel (fun () ->
+          let fs = Fs.create par_config in
+          let vol = (Fs.vols fs).(0) in
+          let writes = Aggregate.total_blocks (Fs.aggregate fs) in
+          for offset = 0 to writes - 1 do
+            Fs.stage_write fs ~vol ~file:1 ~offset
+          done;
+          let report = Fs.run_cp fs in
+          check_bool "the CP ran parallel windows" true
+            (Array.length (Write_alloc.last_par_stats (Fs.write_alloc fs)) = 4);
+          let base0 = (Aggregate.ranges (Fs.aggregate fs)).(0).Aggregate.base in
+          let placed =
+            List.filter_map
+              (fun offset ->
+                Option.bind (Flexvol.read_file vol ~file:1 ~offset) (fun vvbn ->
+                    Flexvol.pvbn_of_vvbn vol vvbn))
+              (List.init writes Fun.id)
+          in
+          check_int "every placement accounted" report.Cp.blocks_allocated
+            (List.length placed);
+          check_bool "the bad AAs left blocks unplaced" true
+            (report.Cp.blocks_allocated < writes);
+          List.iter
+            (fun pvbn ->
+              let local = pvbn - base0 in
+              if local >= bad_start && local < bad_start + bad_len then
+                Alcotest.failf "pvbn %d handed out inside the bad range" pvbn)
+            placed;
+          check_all_distinct "quarantine under pool" (Array.of_list placed);
+          check_int "Iron clean after the CP" 0 (List.length (Iron.check fs))));
+  let quarantined =
+    match
+      Wafl_telemetry.Registry.find
+        (Wafl_telemetry.Telemetry.registry tel)
+        "fault.aa_quarantined"
+    with
+    | Some (Wafl_telemetry.Registry.Counter c) -> Wafl_telemetry.Registry.count c
+    | _ -> 0
+  in
+  check_bool "AAs quarantined" true (quarantined > 0)
 
 (* --- mmap pagestore: remount reproduces persisted state --- *)
 
@@ -202,6 +338,14 @@ let () =
           Alcotest.test_case "hammer jobs=8" `Slow test_hammer_jobs8;
           Alcotest.test_case "pooled CPs conserve" `Quick
             test_pooled_cps_conserve;
+          Alcotest.test_case "quarantine under a pool" `Quick
+            test_quarantine_under_pool;
+          Alcotest.test_case "window tail completes a request" `Quick
+            test_window_tail_completes;
+          Alcotest.test_case "window rings end at the CP" `Quick
+            test_window_rings_end_at_cp;
+          Alcotest.test_case "modeled speedup is deterministic" `Quick
+            test_modeled_speedup_deterministic;
         ] );
       ( "mmap backend",
         [

@@ -270,6 +270,21 @@ let test_crash_matrix_small () =
     (List.length r.Crash_matrix.points + 1)
     r.Crash_matrix.runs
 
+(* An empty or negative workload has no crash points worth recovering
+   from: both bounds are rejected before anything runs. *)
+let test_crash_matrix_rejects_empty_workload () =
+  let rejects label f =
+    match f () with
+    | (_ : Crash_matrix.result) -> Alcotest.fail (label ^ " accepted")
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "ops_per_cp = 0" (fun () ->
+      Crash_matrix.run ~seed:3 ~warmup_cps:1 ~ops_per_cp:0 ());
+  rejects "ops_per_cp = -5" (fun () ->
+      Crash_matrix.run ~seed:3 ~warmup_cps:1 ~ops_per_cp:(-5) ());
+  rejects "warmup_cps = -1" (fun () ->
+      Crash_matrix.run ~seed:3 ~warmup_cps:(-1) ~ops_per_cp:150 ())
+
 let () =
   Alcotest.run "wafl_fault"
     [
@@ -301,5 +316,7 @@ let () =
         [
           Alcotest.test_case "point machinery" `Quick test_crash_point_machinery;
           Alcotest.test_case "small matrix recovers clean" `Slow test_crash_matrix_small;
+          Alcotest.test_case "matrix rejects an empty workload" `Quick
+            test_crash_matrix_rejects_empty_workload;
         ] );
     ]

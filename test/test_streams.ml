@@ -166,8 +166,8 @@ let test_routed_rows_disjoint_aas () =
 
 (* Routed fill to capacity: cycling the four class rows must drain every
    allocatable block exactly once — serial and at every pool degree — and
-   leave the activemap bit-identical to the serial run.  Blocks left in a
-   flushed shard ring stay free but their AA stays claimed by its row, so
+   leave the activemap bit-identical to the serial run.  Blocks of an AA
+   claimed by one class's row stay out of every other class's reach, so
    a routed fill legitimately needs CP boundaries to finish: when every
    row runs dry, cp_finish refiles the taken AAs and the next pass
    reaches the remainder (exactly how the real system operates). *)
@@ -182,7 +182,7 @@ let fill_routed fs =
       if dry < 4 then begin
         let got = Write_alloc.allocate_pvbns_into ~cls:(c mod 4) wa ~dst 4096 in
         Array.iter
-          (fun s -> check_int "minor words per shard" 0 s.Write_alloc.ps_minor_words)
+          (fun s -> check_int "minor words per domain" 0 s.Write_alloc.ps_minor_words)
           (Write_alloc.last_par_stats wa);
         if got > 0 then begin
           out := Array.sub dst 0 got :: !out;
